@@ -28,7 +28,7 @@ int main() {
   cluster.start();
   cluster.run_for(seconds(8));
 
-  const auto& core = cluster.diem_core(0);
+  const auto& core = cluster.chained_core(0);
   const auto& ledger = core.ledger();
   std::printf("full node: %llu blocks committed\n",
               static_cast<unsigned long long>(ledger.committed_blocks()));

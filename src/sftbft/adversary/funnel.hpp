@@ -1,11 +1,11 @@
-// OutboundFunnel: the strategy-filtered delivery path shared by every
-// Byzantine engine. Protocol engines keep only their message *crafting*
-// (twin proposals, forged votes); the delivery policy — SelectiveSender
-// drops, WithholdRelease delays certificate carriers, Coalition accounting
-// for both — lives here once, so a fix or a new delivery strategy lands in
-// one place for both protocols. Since both stacks speak the same byte-level
-// transport, the funnel is a plain class over net::Envelope, not a
-// per-message-type template.
+// OutboundFunnel: the strategy-filtered delivery path of every Byzantine
+// replica (engine::ReplicaHost's Byzantine outbound policy). Message
+// *crafting* (twin proposals, forged votes) lives in crafting.hpp; the
+// delivery policy — SelectiveSender drops, WithholdRelease delays
+// certificate carriers, the EquivocatingLeader twin fan-out, Coalition
+// accounting for all of them — lives here once, for every protocol. Since
+// all stacks speak the same byte-level transport, the funnel is a plain
+// class over net::Envelope, not a per-message-type template.
 #pragma once
 
 #include <utility>
@@ -20,7 +20,7 @@ namespace sftbft::adversary {
 class OutboundFunnel {
  public:
   /// `fault` and `coalition` must outlive the funnel (both are members of
-  /// the owning Byzantine engine / shared deployment state).
+  /// the owning replica host / shared deployment state).
   OutboundFunnel(ReplicaId id, net::Transport& transport,
                  const engine::FaultSpec& fault, Coalition& coalition)
       : id_(id), transport_(transport), fault_(fault), coalition_(coalition) {}
@@ -69,6 +69,25 @@ class OutboundFunnel {
     for (ReplicaId to = 0; to < transport_.size(); ++to) {
       if (to == id_) continue;
       send(to, env, withholdable, label);
+    }
+  }
+
+  /// EquivocatingLeader fan-out of one proposal's two forks, in id order.
+  /// The replica's own core sees both (it is a coalition member: it votes
+  /// its own view once, the amnesia path votes the twin as well); other
+  /// coalition members get both; honest peers split by id parity, even ids
+  /// the original and odd ids the twin. Both are certificate carriers, so
+  /// WithholdRelease delays them.
+  void send_twins(const net::Envelope& original, const net::Envelope& twin) {
+    for (ReplicaId to = 0; to < transport_.size(); ++to) {
+      if (to == id_) {
+        send_self(original);
+        send_self(twin);
+        continue;
+      }
+      const bool both = coalition_.is_member(to);
+      if (both || to % 2 == 0) send(to, original, /*withholdable=*/true);
+      if (both || to % 2 != 0) send(to, twin, /*withholdable=*/true);
     }
   }
 

@@ -29,9 +29,6 @@ using core::VoteHistory;
 /// historical name for it remains for callers.
 using EndorsementTracker = core::StrengthTracker;
 
-/// A DiemBFT replica core is the chained kernel running the default rules.
-using DiemBftCore = core::ChainedCore;
-
 /// DiemBFT's rule set: the kernel defaults (null slots select the Fig. 2
 /// rules implemented in core::ChainedCore).
 [[nodiscard]] core::ChainedRules diembft_rules();

@@ -154,8 +154,8 @@ void ClientSwarm::schedule_refill() {
         1, static_cast<SimDuration>(rng_.exponential(
                static_cast<double>(workload_.mean_interarrival))));
   }
-  sched_.schedule_after(wait, [this] {
-    if (!running_) return;
+  sched_.schedule_after(wait, [this, epoch = epoch_] {
+    if (epoch != epoch_) return;
     top_up();
     schedule_refill();
   });

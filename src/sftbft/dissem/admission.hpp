@@ -90,7 +90,12 @@ class ClientSwarm {
   /// data plane continuously drains the pool into batches, so a one-shot
   /// top_up would starve it).
   void start();
-  void stop() { running_ = false; }
+  /// Halts the refills; a refill already queued fires as a no-op, even
+  /// after a later start().
+  void stop() {
+    running_ = false;
+    ++epoch_;
+  }
 
   [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
 
@@ -108,6 +113,8 @@ class ClientSwarm {
   std::vector<std::uint32_t> client_seq_;
   std::uint64_t submitted_ = 0;
   bool running_ = false;
+  /// Bumped by stop(); a queued refill from an older epoch does nothing.
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace sftbft::dissem

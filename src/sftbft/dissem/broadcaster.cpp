@@ -30,11 +30,27 @@ void BatchBroadcaster::start() {
   schedule_pack();
 }
 
-void BatchBroadcaster::stop() { running_ = false; }
+void BatchBroadcaster::stop() {
+  running_ = false;
+  // Orphan the queued pack timer and pull watchdog.
+  ++epoch_;
+  pull_watchdog_armed_ = false;
+}
+
+void BatchBroadcaster::reset() {
+  stop();
+  seq_ = 0;
+  batches_packed_ = 0;
+  pull_requests_sent_ = 0;
+  missing_order_.clear();
+  missing_.clear();
+  pull_attempts_ = 0;
+}
 
 void BatchBroadcaster::schedule_pack() {
-  transport_.scheduler().schedule_after(config_.batch_interval, [this] {
-    if (!running_) return;
+  transport_.scheduler().schedule_after(config_.batch_interval,
+                                        [this, epoch = epoch_] {
+    if (epoch != epoch_) return;
     pack_and_push();
     schedule_pack();
   });
@@ -173,7 +189,9 @@ void BatchBroadcaster::pull_round() {
   }
 
   pull_watchdog_armed_ = true;
-  transport_.scheduler().schedule_after(config_.pull_retry, [this] {
+  transport_.scheduler().schedule_after(config_.pull_retry,
+                                        [this, epoch = epoch_] {
+    if (epoch != epoch_) return;
     pull_watchdog_armed_ = false;
     if (!running_) return;
     if (!missing_.empty()) pull_round();

@@ -49,7 +49,12 @@ class BatchBroadcaster {
 
   /// Arms the periodic packing timer.
   void start();
+  /// Halts packing and pulling; timers already queued fire as no-ops, even
+  /// after a later start().
   void stop();
+  /// Crash semantics: stops and forgets all volatile state (batch sequence,
+  /// pull state, counters), as if freshly constructed.
+  void reset();
 
   void on_push(const BatchPush& push);
   void on_request(const BatchRequest& req);
@@ -83,6 +88,9 @@ class BatchBroadcaster {
   Options options_;
 
   bool running_ = false;
+  /// Bumped by stop(); every queued timer carries the epoch it was armed in
+  /// and does nothing once it is stale.
+  std::uint64_t epoch_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t batches_packed_ = 0;
   std::uint64_t pull_requests_sent_ = 0;

@@ -3,9 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sftbft/adversary/byzantine_replica.hpp"
-#include "sftbft/adversary/byzantine_streamlet.hpp"
-
 namespace sftbft::engine {
 
 namespace {
@@ -13,17 +10,6 @@ namespace {
 [[noreturn]] void wrong_protocol(const char* want, Protocol have) {
   throw std::logic_error(std::string("deployment runs ") +
                          protocol_name(have) + ", not " + want);
-}
-
-/// The typed escape hatches downcast to the honest adapter classes; a
-/// Byzantine slot holds an adversary engine instead, so the cast would be
-/// undefined behaviour — refuse it explicitly.
-void require_honest_slot(const ConsensusEngine& engine, ReplicaId id) {
-  if (engine.fault().kind == FaultSpec::Kind::Byzantine) {
-    throw std::logic_error("replica " + std::to_string(id) +
-                           " is Byzantine; honest-core escape hatches do "
-                           "not apply (inspect the Coalition instead)");
-  }
 }
 
 }  // namespace
@@ -37,7 +23,7 @@ Deployment::Deployment(DeploymentConfig config, CommitObserver observer,
         std::to_string(config_.topology.size()) + ") != n (" +
         std::to_string(config_.n) + ")");
   }
-  // The single shared fault validator (every engine, all fault kinds).
+  // The single shared fault validator (every replica, all fault kinds).
   validate_faults(config_.faults, config_.n);
   for (const FaultSpec& fault : config_.faults) {
     if (fault.kind == FaultSpec::Kind::Byzantine && !coalition_) {
@@ -47,31 +33,6 @@ Deployment::Deployment(DeploymentConfig config, CommitObserver observer,
   registry_ = std::make_shared<crypto::KeyRegistry>(config_.n, config_.seed);
   backends_.resize(config_.n);
   stores_.resize(config_.n);
-
-  auto fault_for = [this](ReplicaId id) {
-    return id < config_.faults.size() ? config_.faults[id]
-                                      : FaultSpec::honest();
-  };
-  auto qc_tap_for = [&taps](ReplicaId id) -> replica::Replica::QcTap {
-    if (!taps.canonical_qc) return nullptr;
-    return [id, tap = taps.canonical_qc](const types::Block& block,
-                                         const types::QuorumCert& qc) {
-      tap(id, block, qc);
-    };
-  };
-  auto block_tap_for = [&taps](ReplicaId id) -> StreamletEngine::BlockTap {
-    if (!taps.block_seen) return nullptr;
-    return [id, tap = taps.block_seen](const types::Block& block) {
-      tap(id, block);
-    };
-  };
-  auto vote_tap_for = [&taps](ReplicaId id) -> StreamletEngine::VoteTap {
-    if (!taps.vote_seen) return nullptr;
-    return [id, tap = taps.vote_seen](const streamlet::SVote& vote) {
-      tap(id, core::VoteSeen{vote.block_id, vote.round, vote.height,
-                             vote.voter, vote.marker});
-    };
-  };
 
   // One byte-level transport for every protocol. Seed derivations are kept
   // per protocol (0xabcd / 0x51ee7 network streams match the historical
@@ -95,7 +56,7 @@ Deployment::Deployment(DeploymentConfig config, CommitObserver observer,
     transport_->set_observer(observer_.get());
   }
   // Corrupt faults are link-level: they live in the transport, and the
-  // replica itself runs the honest engine below. Corruption only acts
+  // replica itself runs an honest host. Corruption only acts
   // before GST, so a synchronous-from-the-start network would make the
   // fault a silent no-op — reject that the way validate_faults rejects
   // other no-op specs (it cannot, lacking the net config).
@@ -110,54 +71,13 @@ Deployment::Deployment(DeploymentConfig config, CommitObserver observer,
     transport_->set_corruption(id, config_.faults[id].corrupt);
   }
 
-  // Per-replica dissem copy: observability attribution (the frontend and
-  // data plane are not otherwise id-aware).
-  auto dissem_for = [this](ReplicaId id) {
-    dissem::DissemConfig dcfg = config_.dissem;
-    dcfg.observer = observer_.get();
-    dcfg.self = id;
-    return dcfg;
-  };
-
   Rng workload_rng(config_.seed ^ 0x77aa);
-  if (is_chained(config_.protocol)) {
-    for (ReplicaId id = 0; id < config_.n; ++id) {
-      consensus::CoreConfig core = config_.chained;
-      core.id = id;
-      core.n = config_.n;
-      core.observer = observer_.get();
-      const FaultSpec fault = fault_for(id);
-      if (fault.kind == FaultSpec::Kind::Byzantine) {
-        engines_.push_back(std::make_unique<adversary::ByzantineReplica>(
-            config_.protocol, core, *transport_, registry_, config_.workload,
-            workload_rng.fork(), fault, coalition_, qc_tap_for(id),
-            dissem_for(id)));
-        continue;
-      }
-      engines_.push_back(std::make_unique<ChainedEngine>(
-          config_.protocol, core, *transport_, registry_, config_.workload,
-          workload_rng.fork(), fault, observer, make_store(id, fault),
-          qc_tap_for(id), dissem_for(id)));
-    }
-  } else {
-    for (ReplicaId id = 0; id < config_.n; ++id) {
-      streamlet::StreamletConfig core = config_.streamlet;
-      core.id = id;
-      core.n = config_.n;
-      core.observer = observer_.get();
-      const FaultSpec fault = fault_for(id);
-      if (fault.kind == FaultSpec::Kind::Byzantine) {
-        engines_.push_back(std::make_unique<adversary::ByzantineStreamlet>(
-            core, *transport_, registry_, config_.workload,
-            workload_rng.fork(), fault, coalition_, block_tap_for(id),
-            vote_tap_for(id), dissem_for(id)));
-        continue;
-      }
-      engines_.push_back(std::make_unique<StreamletEngine>(
-          core, *transport_, registry_, config_.workload,
-          workload_rng.fork(), fault, observer, make_store(id, fault),
-          block_tap_for(id), vote_tap_for(id), dissem_for(id)));
-    }
+  for (ReplicaId id = 0; id < config_.n; ++id) {
+    const FaultSpec& fault =
+        id < config_.faults.size() ? config_.faults[id] : FaultSpec::honest();
+    hosts_.push_back(std::make_unique<ReplicaHost>(
+        config_, id, *transport_, registry_, workload_rng.fork(),
+        make_store(id, fault), observer, taps, coalition_, observer_.get()));
   }
 }
 
@@ -165,8 +85,10 @@ Deployment::~Deployment() = default;
 
 storage::ReplicaStore* Deployment::make_store(ReplicaId id,
                                               const FaultSpec& fault) {
+  // Byzantine replicas have no honest state worth keeping.
   const bool wants_store =
-      config_.persist_all || fault.kind == FaultSpec::Kind::CrashRestart;
+      fault.kind != FaultSpec::Kind::Byzantine &&
+      (config_.persist_all || fault.kind == FaultSpec::Kind::CrashRestart);
   if (!wants_store) return nullptr;
   // Per-replica backend, independently seeded: torn-tail draws at one
   // replica's crash never perturb another's stream.
@@ -181,21 +103,15 @@ storage::ReplicaStore* Deployment::make_store(ReplicaId id,
 }
 
 void Deployment::start() {
-  for (auto& engine : engines_) engine->start();
+  for (auto& host : hosts_) host->start();
 }
 
 void Deployment::run_for(SimDuration duration) { sched_.run_for(duration); }
 
-ConsensusEngine& Deployment::engine(ReplicaId id) { return *engines_[id]; }
-
-const ConsensusEngine& Deployment::engine(ReplicaId id) const {
-  return *engines_[id];
-}
-
 std::uint32_t Deployment::honest_count() const {
   std::uint32_t honest = 0;
-  for (const auto& engine : engines_) {
-    const FaultSpec::Kind kind = engine->fault().kind;
+  for (const auto& host : hosts_) {
+    const FaultSpec::Kind kind = host->fault().kind;
     if (kind == FaultSpec::Kind::Honest || kind == FaultSpec::Kind::Corrupt) {
       ++honest;
     }
@@ -203,45 +119,35 @@ std::uint32_t Deployment::honest_count() const {
   return honest;
 }
 
-replica::Replica& Deployment::chained_replica(ReplicaId id) {
-  if (!is_chained(config_.protocol)) {
-    wrong_protocol("a chained protocol", config_.protocol);
+ReplicaHost& Deployment::honest_host(ReplicaId id, bool chained) const {
+  if (chained != is_chained(config_.protocol)) {
+    wrong_protocol(chained ? "a chained protocol" : "streamlet",
+                   config_.protocol);
   }
-  require_honest_slot(*engines_[id], id);
-  return static_cast<ChainedEngine&>(*engines_[id]).replica();
+  // A Byzantine host's core state is adversarial by design.
+  if (hosts_[id]->fault().kind == FaultSpec::Kind::Byzantine) {
+    throw std::logic_error("replica " + std::to_string(id) +
+                           " is Byzantine; honest-core escape hatches do "
+                           "not apply (inspect the Coalition instead)");
+  }
+  return *hosts_[id];
 }
 
 core::ChainedCore& Deployment::chained_core(ReplicaId id) {
-  if (!is_chained(config_.protocol)) {
-    wrong_protocol("a chained protocol", config_.protocol);
-  }
-  require_honest_slot(*engines_[id], id);
-  return static_cast<ChainedEngine&>(*engines_[id]).core();
+  return *honest_host(id, /*chained=*/true).chained_core();
 }
 
 const core::ChainedCore& Deployment::chained_core(ReplicaId id) const {
-  if (!is_chained(config_.protocol)) {
-    wrong_protocol("a chained protocol", config_.protocol);
-  }
-  require_honest_slot(*engines_[id], id);
-  return static_cast<const ChainedEngine&>(*engines_[id]).core();
+  return *honest_host(id, /*chained=*/true).chained_core();
 }
 
 streamlet::StreamletCore& Deployment::streamlet_core(ReplicaId id) {
-  if (config_.protocol != Protocol::Streamlet) {
-    wrong_protocol("streamlet", config_.protocol);
-  }
-  require_honest_slot(*engines_[id], id);
-  return static_cast<StreamletEngine&>(*engines_[id]).core();
+  return *honest_host(id, /*chained=*/false).streamlet_core();
 }
 
 const streamlet::StreamletCore& Deployment::streamlet_core(
     ReplicaId id) const {
-  if (config_.protocol != Protocol::Streamlet) {
-    wrong_protocol("streamlet", config_.protocol);
-  }
-  require_honest_slot(*engines_[id], id);
-  return static_cast<const StreamletEngine&>(*engines_[id]).core();
+  return *honest_host(id, /*chained=*/false).streamlet_core();
 }
 
 }  // namespace sftbft::engine

@@ -4,7 +4,7 @@
 //
 // A Deployment owns the scheduler, the PKI, ONE byte-level transport
 // (net::SimTransport — every protocol speaks net::Envelope over the same
-// wire), and one ConsensusEngine per replica, and funnels every engine's
+// wire), and one ReplicaHost per replica, and funnels every host's
 // commit notifications into a single observer (which is how the harness
 // computes the paper's "average over all blocks over all replicas"
 // metrics). The protocol is selected by DeploymentConfig::protocol —
@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "sftbft/adversary/coalition.hpp"
+#include "sftbft/consensus/diembft.hpp"
 #include "sftbft/core/audit.hpp"
 #include "sftbft/dissem/config.hpp"
-#include "sftbft/engine/chained_engine.hpp"
 #include "sftbft/engine/engine.hpp"
-#include "sftbft/engine/streamlet_engine.hpp"
+#include "sftbft/engine/replica_host.hpp"
 #include "sftbft/net/sim_transport.hpp"
 #include "sftbft/obs/observer.hpp"
 #include "sftbft/sim/scheduler.hpp"
@@ -43,7 +43,7 @@ struct DeploymentConfig {
   Protocol protocol = Protocol::DiemBft;
   std::uint32_t n = 4;
   /// Template for every chained-kernel replica's core config (id/n filled
-  /// in per replica; the protocol's rule set is stamped by the engine).
+  /// in per replica; the protocol's rule set is stamped by the host).
   /// Used when is_chained(protocol) — i.e. DiemBFT and HotStuff share one
   /// knob surface, which is what keeps their comparisons honest.
   consensus::CoreConfig chained;
@@ -65,7 +65,7 @@ struct DeploymentConfig {
   storage::StoreConfig storage;
   /// Wire a ReplicaStore (simulation MemBackend) for every replica, not
   /// just the CrashRestart ones — for persistence-overhead experiments and
-  /// manual ConsensusEngine::restart() from tests.
+  /// manual ReplicaHost::restart() from tests.
   bool persist_all = false;
   /// Observability (metrics registry, trace layer, flight recorder). Off by
   /// default: no Observer is built, every instrumented component holds a
@@ -82,7 +82,7 @@ class Deployment {
   /// `config.topology.size() != config.n` (a silently mismatched topology
   /// was the old ClusterConfig's footgun) or if any FaultSpec is malformed
   /// (see validate_faults in engine/fault.hpp — the single shared
-  /// validator for every engine).
+  /// validator for every replica).
   explicit Deployment(DeploymentConfig config, CommitObserver observer = nullptr,
                       AuditTaps taps = {});
   ~Deployment();
@@ -90,7 +90,7 @@ class Deployment {
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;
 
-  /// Starts all engines (they enter round 1 at the current sim time).
+  /// Starts all replicas (they enter round 1 at the current sim time).
   void start();
 
   /// Runs the simulation for `duration` of simulated time.
@@ -98,8 +98,10 @@ class Deployment {
 
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] Protocol protocol() const { return config_.protocol; }
-  [[nodiscard]] ConsensusEngine& engine(ReplicaId id);
-  [[nodiscard]] const ConsensusEngine& engine(ReplicaId id) const;
+  [[nodiscard]] ReplicaHost& engine(ReplicaId id) { return *hosts_[id]; }
+  [[nodiscard]] const ReplicaHost& engine(ReplicaId id) const {
+    return *hosts_[id];
+  }
   [[nodiscard]] const chain::Ledger& ledger(ReplicaId id) const {
     return engine(id).ledger();
   }
@@ -144,7 +146,7 @@ class Deployment {
   /// Stores exist for CrashRestart-faulted replicas and, with
   /// `persist_all`, for everyone.
   [[nodiscard]] storage::ReplicaStore* store(ReplicaId id) {
-    return engines_[id]->store();
+    return hosts_[id]->store();
   }
 
   /// The deployment-wide Observer, or nullptr when `config.obs.enabled` is
@@ -155,29 +157,21 @@ class Deployment {
     return observer_.get();
   }
 
-  // Protocol-typed escape hatches. Calling a mismatched accessor throws
-  // std::logic_error — tests that need kernel internals (light-client
-  // proofs, strength/endorsement state) use these. The chained accessors
-  // serve both DiemBFT and HotStuff deployments; diem_* are the historical
-  // names for the same thing.
-  [[nodiscard]] replica::Replica& chained_replica(ReplicaId id);
+  // Protocol-typed escape hatches. Calling a mismatched accessor, or one
+  // on a Byzantine replica, throws std::logic_error — tests that need
+  // kernel internals (light-client proofs, strength/endorsement state) use
+  // these. The chained accessors serve both DiemBFT and HotStuff.
   [[nodiscard]] core::ChainedCore& chained_core(ReplicaId id);
   [[nodiscard]] const core::ChainedCore& chained_core(ReplicaId id) const;
-  [[nodiscard]] replica::Replica& diem_replica(ReplicaId id) {
-    return chained_replica(id);
-  }
-  [[nodiscard]] consensus::DiemBftCore& diem_core(ReplicaId id) {
-    return chained_core(id);
-  }
-  [[nodiscard]] const consensus::DiemBftCore& diem_core(ReplicaId id) const {
-    return chained_core(id);
-  }
   [[nodiscard]] streamlet::StreamletCore& streamlet_core(ReplicaId id);
   [[nodiscard]] const streamlet::StreamletCore& streamlet_core(
       ReplicaId id) const;
 
  private:
-  /// Builds (or skips) the durable store for one replica, pre-engine.
+  /// The host behind an escape hatch; throws std::logic_error unless the
+  /// deployment runs the `chained` family and replica `id` is not Byzantine.
+  [[nodiscard]] ReplicaHost& honest_host(ReplicaId id, bool chained) const;
+  /// Builds (or skips) the durable store for one replica, pre-host.
   [[nodiscard]] storage::ReplicaStore* make_store(ReplicaId id,
                                                   const FaultSpec& fault);
 
@@ -188,14 +182,14 @@ class Deployment {
   std::shared_ptr<adversary::Coalition> coalition_;
   /// The one byte-level network every protocol stack sends through.
   std::unique_ptr<net::SimTransport> transport_;
-  /// Deployment-wide metrics/trace sink; declared before the engines so it
+  /// Deployment-wide metrics/trace sink; declared before the hosts so it
   /// outlives every component holding a raw Observer*.
   std::unique_ptr<obs::Observer> observer_;
   /// Per-replica durable storage (simulation MemBackends); slots are null
   /// for replicas running without persistence.
   std::vector<std::unique_ptr<storage::MemBackend>> backends_;
   std::vector<std::unique_ptr<storage::ReplicaStore>> stores_;
-  std::vector<std::unique_ptr<ConsensusEngine>> engines_;
+  std::vector<std::unique_ptr<ReplicaHost>> hosts_;
 };
 
 }  // namespace sftbft::engine

@@ -1,5 +1,5 @@
-// Protocol-agnostic replica fault model, shared by every ConsensusEngine
-// backend (the DiemBFT and Streamlet adapters interpret it identically):
+// Protocol-agnostic replica fault model, interpreted once for every
+// protocol by engine::ReplicaHost:
 //
 //  * Honest — follows the protocol;
 //  * Crash  — benign fault (Theorem 2): stops entirely at `crash_at`;

@@ -21,7 +21,8 @@
 //
 // Liveness state (uncommitted block tree, pending votes, mempool) is
 // deliberately NOT persisted: a recovered replica re-syncs missed blocks
-// from its peers (see DiemBftCore::request_sync / StreamletCore counterpart).
+// from its peers (see core::ChainedCore::request_sync and its StreamletCore
+// counterpart).
 #pragma once
 
 #include <cstdint>

@@ -242,8 +242,8 @@ TEST(AdversaryTest, HonestCoreEscapeHatchesRefuseByzantineSlots) {
   config.faults = {FaultSpec::honest(),
                    FaultSpec::byzantine({Strategy::AmnesiaVoter})};
   Deployment deployment(std::move(config));
-  EXPECT_NO_THROW(deployment.diem_core(0));
-  EXPECT_THROW(deployment.diem_core(1), std::logic_error);
+  EXPECT_NO_THROW(deployment.chained_core(0));
+  EXPECT_THROW(deployment.chained_core(1), std::logic_error);
   EXPECT_THROW(deployment.engine(1).restart(), std::logic_error);
   EXPECT_EQ(deployment.honest_count(), 3u);
 }

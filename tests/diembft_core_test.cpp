@@ -1,4 +1,4 @@
-// DiemBftCore driven directly (no network): message-level validation,
+// core::ChainedCore driven directly (no network): message-level validation,
 // proposing, voting, QC formation, commit rules, stale-proposal handling —
 // including the adversarial inputs a simulated honest network never sends.
 #include <gtest/gtest.h>
@@ -35,7 +35,7 @@ class DiemBftCoreTest : public ::testing::Test {
     config.base_timeout = millis(1000);
     config.leader_processing = 0;
     config.max_batch = 5;
-    DiemBftCore::Hooks hooks;
+    core::ChainedCore::Hooks hooks;
     hooks.send_vote = [this](ReplicaId to, const Vote& vote) {
       outbox_.votes.emplace_back(to, vote);
     };
@@ -49,8 +49,8 @@ class DiemBftCoreTest : public ::testing::Test {
                              SimTime now) {
       outbox_.commits.emplace_back(block.id, strength, now);
     };
-    core_ = std::make_unique<DiemBftCore>(config, sched_, registry_, pool_,
-                                          std::move(hooks));
+    core_ = std::make_unique<core::ChainedCore>(config, sched_, registry_,
+                                                pool_, std::move(hooks));
     core_->start();
   }
 
@@ -103,7 +103,7 @@ class DiemBftCoreTest : public ::testing::Test {
   std::shared_ptr<crypto::KeyRegistry> registry_;
   mempool::Mempool pool_;
   Outbox outbox_;
-  std::unique_ptr<DiemBftCore> core_;
+  std::unique_ptr<core::ChainedCore> core_;
 };
 
 TEST_F(DiemBftCoreTest, VotesForValidProposal) {

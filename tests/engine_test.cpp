@@ -102,6 +102,30 @@ TEST(Engine, SilentFaultSuppressesAllTrafficOnBothProtocols) {
     EXPECT_GT(deployment.engine(2).inbound_messages(), 0u);
     EXPECT_EQ(deployment.engine(2).fault().kind, FaultSpec::Kind::Silent);
     EXPECT_EQ(deployment.honest_count(), 6u);
+    // Nothing leaves the silent replica: zero egress bytes charged to it
+    // (an index past the end of the egress table counts as zero).
+    const auto& egress = deployment.net_stats().egress_by_replica();
+    EXPECT_EQ(egress.size() > 2 ? egress[2] : 0u, 0u)
+        << engine::protocol_name(protocol);
+    EXPECT_GT(egress.size() > 0 ? egress[0] : 0u, 0u);
+  }
+}
+
+TEST(Engine, PoissonArrivalsKeepInlinePoolsFedOnAllProtocols) {
+  // Inline payloads, a small pool and Poisson arrivals: the one-shot top-up
+  // at start can supply at most n x target_pool_size transactions in total,
+  // so committing more proves every engine keeps its arrivals running.
+  for (const Protocol protocol : engine::kAllProtocols) {
+    harness::Scenario s = crash_scenario(protocol);
+    s.faults.clear();
+    DeploymentConfig config = s.to_deployment_config();
+    config.workload.target_pool_size = 10;
+    config.workload.mean_interarrival = millis(2);
+    Deployment deployment(std::move(config));
+    deployment.start();
+    deployment.run_for(seconds(5));
+    EXPECT_GT(deployment.ledger(0).committed_txns(), 4u * 10u)
+        << engine::protocol_name(protocol);
   }
 }
 
@@ -165,7 +189,7 @@ TEST(Engine, EnginesReportProtocolAndInboundBandwidth) {
   Deployment deployment(s.to_deployment_config());
   deployment.start();
   deployment.run_for(seconds(3));
-  const engine::ConsensusEngine& e = deployment.engine(0);
+  const engine::ReplicaHost& e = deployment.engine(0);
   EXPECT_EQ(e.protocol(), Protocol::Streamlet);
   EXPECT_EQ(e.id(), 0u);
   EXPECT_GT(e.current_round(), 0u);
@@ -210,7 +234,7 @@ TEST(Deployment, RejectsTopologySizeMismatch) {
 TEST(Deployment, TypedAccessorsRejectWrongProtocol) {
   DeploymentConfig config;  // DiemBFT, n = 4 with matching default topology
   Deployment deployment(std::move(config));
-  EXPECT_NO_THROW(deployment.diem_core(0));
+  EXPECT_NO_THROW(deployment.chained_core(0));
   EXPECT_THROW(deployment.streamlet_core(0), std::logic_error);
 }
 

@@ -59,7 +59,7 @@ TEST_F(EquivocationTest, ForkSideVotesCarryTruthfulMarkers) {
   bool fork_side_found = false;
   for (ReplicaId id = 0; id < kN; ++id) {
     if (id == kByzantine) continue;
-    const auto& core = cluster_->diem_core(id);
+    const auto& core = cluster_->chained_core(id);
     const auto& frontier = core.vote_history().frontier();
     if (frontier.size() < 2) continue;  // never voted across forks
     fork_side_found = true;

@@ -33,7 +33,7 @@ class LightClientTest : public ::testing::Test {
 
   /// A 2f-strong committed block id from replica 0's ledger.
   types::BlockId strong_block() {
-    for (const auto& entry : cluster_->diem_core(0).ledger().snapshot()) {
+    for (const auto& entry : cluster_->chained_core(0).ledger().snapshot()) {
       if (entry.strength >= 2 * kF) return entry.block_id;
     }
     ADD_FAILURE() << "no 2f-strong block";
@@ -46,7 +46,7 @@ class LightClientTest : public ::testing::Test {
 TEST_F(LightClientTest, BuildAndVerify) {
   const auto target = strong_block();
   const auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
   EXPECT_TRUE(client.verify(*proof));
@@ -60,7 +60,7 @@ TEST_F(LightClientTest, ProofsPortableAcrossReplicas) {
   int provers = 0;
   for (ReplicaId id = 0; id < kN; ++id) {
     const auto proof =
-        lightclient::build_proof(cluster_->diem_core(id), target, 2 * kF);
+        lightclient::build_proof(cluster_->chained_core(id), target, 2 * kF);
     if (proof.has_value()) {
       EXPECT_TRUE(client.verify(*proof)) << "prover " << id;
       ++provers;
@@ -72,7 +72,7 @@ TEST_F(LightClientTest, ProofsPortableAcrossReplicas) {
 TEST_F(LightClientTest, RejectsInflatedStrength) {
   const auto target = strong_block();
   auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -88,7 +88,7 @@ TEST_F(LightClientTest, RejectsInflatedStrength) {
 TEST_F(LightClientTest, RejectsTamperedCarrier) {
   const auto target = strong_block();
   auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -105,7 +105,7 @@ TEST_F(LightClientTest, RejectsTamperedCarrier) {
 TEST_F(LightClientTest, RejectsThinOrForeignQc) {
   const auto target = strong_block();
   auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -121,7 +121,7 @@ TEST_F(LightClientTest, RejectsThinOrForeignQc) {
 TEST_F(LightClientTest, RejectsBrokenAncestryPath) {
   const auto target = strong_block();
   auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -141,7 +141,7 @@ TEST_F(LightClientTest, RejectsDuplicateSignerQc) {
   // repeating its own signers: size passes, distinctness must not.
   const auto target = strong_block();
   auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -157,7 +157,7 @@ TEST_F(LightClientTest, RejectsAdversaryForgedCommitLog) {
   // without 2f + 1 distinct honest-or-not voters the Log is worthless.
   const auto target = strong_block();
   const auto honest =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(honest.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -207,7 +207,7 @@ TEST_F(LightClientTest, RejectsAdversaryForgedCommitLog) {
 TEST_F(LightClientTest, RejectsForgedAggregateTag) {
   const auto target = strong_block();
   auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -219,7 +219,7 @@ TEST_F(LightClientTest, RejectsForgedAggregateTag) {
 TEST_F(LightClientTest, RejectsBitmapMetadataLengthMismatch) {
   const auto target = strong_block();
   auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -241,7 +241,7 @@ TEST_F(LightClientTest, MemoBypassTamperFailsFreshVerification) {
   // the memo can never be used to launder a tampered certificate.
   const auto target = strong_block();
   const auto proof =
-      lightclient::build_proof(cluster_->diem_core(0), target, 2 * kF);
+      lightclient::build_proof(cluster_->chained_core(0), target, 2 * kF);
   ASSERT_TRUE(proof.has_value());
   lightclient::LightClient client(cluster_->registry(), kN);
 
@@ -283,7 +283,7 @@ TEST_F(LightClientTest, RejectsTruncatedBlockPath) {
   // Find a proof whose claim rides on a descendant 3-chain head, so the
   // ancestry path is non-empty, then truncate it at both ends.
   lightclient::LightClient client(cluster_->registry(), kN);
-  const auto& core = cluster_->diem_core(0);
+  const auto& core = cluster_->chained_core(0);
   for (const auto& entry : core.ledger().snapshot()) {
     if (entry.strength < 2 * kF) continue;
     const auto proof =
@@ -310,14 +310,14 @@ TEST_F(LightClientTest, RejectsTruncatedBlockPath) {
 TEST_F(LightClientTest, BuildFailsForUnprovableClaims) {
   const auto target = strong_block();
   // Nobody can prove strength above 2f.
-  EXPECT_FALSE(lightclient::build_proof(cluster_->diem_core(0), target,
+  EXPECT_FALSE(lightclient::build_proof(cluster_->chained_core(0), target,
                                         2 * kF + 1)
                    .has_value());
   // Unknown block.
   types::BlockId unknown{};
   unknown.bytes[1] = 0xee;
   EXPECT_FALSE(
-      lightclient::build_proof(cluster_->diem_core(0), unknown, kF)
+      lightclient::build_proof(cluster_->chained_core(0), unknown, kF)
           .has_value());
 }
 

@@ -132,6 +132,29 @@ TEST(Recovery, BothEnginesRunChurnWithoutConflicts) {
   }
 }
 
+TEST(Recovery, DisseminationReplicaRestartsWithinOneBatchInterval) {
+  // The restart lands 5 ms after the crash, inside one batch interval
+  // (20 ms) and one pull-retry window: pack, pull and refill timers armed
+  // before the crash are still queued when the replica comes back. They
+  // must neither touch freed state nor run beside the restarted chains.
+  for (const Protocol protocol : engine::kAllProtocols) {
+    auto config = small_cluster(protocol, 4);
+    config.dissem.enabled = true;
+    config.faults.resize(4);
+    config.faults[1] = FaultSpec::crash_restart(millis(2003), millis(2008));
+    Deployment cluster(config);
+    cluster.start();
+    ASSERT_NO_THROW(cluster.run_for(millis(2100)))
+        << engine::protocol_name(protocol);
+    const auto txns_after_restart = cluster.ledger(1).committed_txns();
+    ASSERT_NO_THROW(cluster.run_for(seconds(6)))
+        << engine::protocol_name(protocol);
+    EXPECT_GT(cluster.ledger(1).committed_txns(), txns_after_restart)
+        << engine::protocol_name(protocol);
+    expect_prefix_agreement(cluster, 4);
+  }
+}
+
 TEST(Recovery, RestartWithoutStoreRefuses) {
   auto config = small_cluster(Protocol::DiemBft, 4);
   Deployment cluster(config);
@@ -157,7 +180,7 @@ TEST(Recovery, ReplayedProposalCannotInduceEquivocation) {
   cluster.store(2)->simulate_crash();
   cluster.run_for(seconds(2));
 
-  auto& core = cluster.diem_core(2);
+  auto& core = cluster.chained_core(2);
   const Round pre_crash_voted = core.safety().voted_round();
   ASSERT_GT(pre_crash_voted, 0u);
 
@@ -169,7 +192,8 @@ TEST(Recovery, ReplayedProposalCannotInduceEquivocation) {
   // round (the legitimate leader's own broadcast, captured via its core).
   const Round target = core.safety().voted_round();
   for (ReplicaId leader = 0; leader < 4; ++leader) {
-    for (const auto& proposal : cluster.diem_core(leader).sent_proposals()) {
+    for (const auto& proposal :
+         cluster.chained_core(leader).sent_proposals()) {
       if (proposal.block.round != target) continue;
       const auto frontier_before = core.vote_history().frontier();
       core.on_proposal(proposal);

@@ -651,7 +651,9 @@ TEST(WireAggregate, CertificateFuzzTruncationAndBitFlips) {
     for (std::size_t len = 0; len < frame.size();
          len += std::max<std::size_t>(1, frame.size() / 16)) {
       try {
-        Decoder dec(Bytes(frame.begin(), frame.begin() + static_cast<long>(len)));
+        const Bytes prefix(frame.begin(),
+                           frame.begin() + static_cast<long>(len));
+        Decoder dec(prefix);
         (void)types::QuorumCert::decode(dec);
       } catch (const CodecError&) {
         // expected for nearly every prefix
