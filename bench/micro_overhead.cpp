@@ -11,7 +11,10 @@
 #include "sftbft/crypto/sha256.hpp"
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
+#include "sftbft/dissem/batch.hpp"
 #include "sftbft/net/envelope.hpp"
+#include "sftbft/net/sim_transport.hpp"
+#include "sftbft/sim/scheduler.hpp"
 #include "sftbft/types/proposal.hpp"
 
 namespace {
@@ -374,12 +377,12 @@ void BM_EnvelopeDecodeProposal450KB(benchmark::State& state) {
 }
 BENCHMARK(BM_EnvelopeDecodeProposal450KB);
 
-/// The encode-once broadcast win: what the old per-recipient path would
-/// have paid to re-serialize one proposal for 99 peers. Compare one
-/// iteration here against 99x BM_EnvelopeEncodeProposal450KB — the
-/// transport now pays the latter exactly once per broadcast and shares the
-/// frame buffer (SimTransport::broadcast), which micro-benches as a ~99x
-/// reduction in serialization work per proposal round at n = 100.
+/// What a per-recipient transport would pay to serialize one proposal for
+/// 99 peers. SimTransport::broadcast pays none of it: clean links deliver
+/// the shared envelope and take its size from Envelope::encoded_size(), and
+/// a frame is built at most once per broadcast, only when a CorruptSpec
+/// corrupts some link (compare one iteration here against one
+/// BM_EnvelopeEncodeProposal450KB).
 void BM_EnvelopeEncodePerPeer99(benchmark::State& state) {
   const types::Proposal proposal = make_block_proposal();
   for (auto _ : state) {
@@ -393,6 +396,42 @@ void BM_EnvelopeEncodePerPeer99(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnvelopeEncodePerPeer99);
+
+/// One broadcast of a 250 x 4.5 KB BatchPush (~1.1 MB) to n = 50, drained
+/// through handlers on the host's receive path (dissem::CheckedPush::of):
+/// the transport charges encoded_size() without building a frame, and the
+/// 49 clean recipients share one decode and one digest check.
+void BM_BroadcastBatchPushN50(benchmark::State& state) {
+  constexpr std::uint32_t kN = 50;
+  dissem::Batch batch;
+  batch.creator = 0;
+  for (std::uint64_t i = 0; i < 250; ++i) {
+    batch.txns.push_back(
+        {.id = i + 1, .submitted_at = 0, .size_bytes = 4500});
+  }
+  batch.seal();
+  const net::Envelope env = net::Envelope::pack(
+      net::WireType::kBatchPush, 0, dissem::BatchPush{batch});
+  sim::Scheduler sched;
+  net::SimTransport transport(sched, net::Topology::uniform(kN, millis(10)),
+                              {}, 1);
+  std::uint64_t valid = 0;
+  for (ReplicaId id = 0; id < kN; ++id) {
+    transport.set_handler(id, [&valid](const net::Envelope& received,
+                                       std::size_t) {
+      valid += dissem::CheckedPush::of(received).digest_valid ? 1 : 0;
+    });
+  }
+  for (auto _ : state) {
+    transport.broadcast(env, /*include_self=*/false);
+    sched.run_until_idle();
+    benchmark::DoNotOptimize(valid);
+  }
+  if (valid != static_cast<std::uint64_t>(state.iterations()) * (kN - 1)) {
+    state.SkipWithError("a recipient rejected the push");
+  }
+}
+BENCHMARK(BM_BroadcastBatchPushN50)->Unit(benchmark::kMillisecond);
 
 /// Encoder growth with the exact pre-reserve (the shipped behaviour)...
 void BM_EncoderAppendReserved(benchmark::State& state) {

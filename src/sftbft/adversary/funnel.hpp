@@ -63,7 +63,8 @@ class OutboundFunnel {
 
   /// Filtered fan-out to every peer except self. (The strategy filter is
   /// per-link, so this path sends per peer instead of using the transport's
-  /// shared-frame broadcast — adversarial traffic pays its own encoding.)
+  /// shared-envelope broadcast — each peer gets its own envelope copy, and
+  /// so decodes it on its own.)
   void send_peers(const net::Envelope& env, bool withholdable,
                   const char* label = nullptr) {
     for (ReplicaId to = 0; to < transport_.size(); ++to) {

@@ -197,7 +197,8 @@ void ChainedCore::request_sync() {
 
 void ChainedCore::on_sync_request(const types::SyncRequest& req) {
   if (stopped_ || !hooks_.send_sync_response) return;
-  if (req.requester == config_.id) return;
+  // The requester id comes off the wire: reply only to a real peer.
+  if (req.requester >= config_.n || req.requester == config_.id) return;
   const QuorumCert& high_qc = safety_.high_qc();
   auto chain_blocks =
       collect_chain(tree_, high_qc.block_id, req.from_height);

@@ -71,6 +71,14 @@ BatchPush BatchPush::decode(Decoder& dec) {
   return BatchPush{Batch::decode(dec)};
 }
 
+const CheckedPush& CheckedPush::of(const net::Envelope& env) {
+  return env.derived<CheckedPush>([](const net::Envelope& e) {
+    BatchPush push = e.unpack<BatchPush>();
+    const bool valid = push.batch.digest_is_valid();
+    return CheckedPush{std::move(push), valid};
+  });
+}
+
 void BatchRequest::encode(Encoder& enc) const {
   enc.reserve(4 + 4 + digests.size() * 32);
   enc.u32(requester);

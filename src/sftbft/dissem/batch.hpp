@@ -15,7 +15,7 @@
 //   BatchRequest  -- puller -> peer: digests the puller is missing
 //   BatchResponse -- peer -> puller: the batches it can serve
 // Like every other message in the repo they have canonical Encoder/Decoder
-// codecs and travel inside net::Envelope — encode().size() IS the wire cost.
+// codecs and travel inside net::Envelope — encoded_size() IS the wire cost.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include "sftbft/common/codec.hpp"
 #include "sftbft/common/types.hpp"
 #include "sftbft/crypto/sha256.hpp"
+#include "sftbft/net/envelope.hpp"
 #include "sftbft/types/transaction.hpp"
 
 namespace sftbft::dissem {
@@ -72,6 +73,22 @@ struct BatchPush {
   static BatchPush decode(Decoder& dec);
 
   friend bool operator==(const BatchPush&, const BatchPush&) = default;
+};
+
+/// A BatchPush decoded from one envelope, with its digest verdict. Built
+/// once per envelope object and immutable after: the clean recipients of a
+/// broadcast push share one envelope, so they share one decode and one
+/// digest check. The verdict lives here, never on Batch (whose
+/// digest_is_valid() always recomputes), so it can only describe the bytes
+/// it was computed from.
+struct CheckedPush {
+  BatchPush push;
+  bool digest_valid = false;
+
+  /// The checked push of `env` (a kBatchPush envelope), decoded and hashed
+  /// on first use (net::Envelope::derived). Throws CodecError on a
+  /// malformed payload.
+  static const CheckedPush& of(const net::Envelope& env);
 };
 
 /// Pull: digests the requester saw referenced (in a proposal or a committed

@@ -85,11 +85,12 @@ void BatchBroadcaster::pack_and_push() {
                        /*include_self=*/false);
 }
 
-void BatchBroadcaster::ingest(const Batch& batch, bool& any_new) {
+void BatchBroadcaster::ingest(const Batch& batch, bool digest_valid,
+                              bool& any_new) {
   // The content address is the only trust anchor on the data plane: a batch
   // whose digest does not match its bytes is discarded no matter who sent
   // it.
-  if (!batch.digest_is_valid()) return;
+  if (!digest_valid) return;
   if (!store_.add(batch)) return;
   const bool was_missing = missing_.erase(batch.digest) > 0;
   any_new = true;
@@ -110,9 +111,9 @@ void BatchBroadcaster::ingest(const Batch& batch, bool& any_new) {
   }
 }
 
-void BatchBroadcaster::on_push(const BatchPush& push) {
+void BatchBroadcaster::on_push(const CheckedPush& push) {
   bool any_new = false;
-  ingest(push.batch, any_new);
+  ingest(push.push.batch, push.digest_valid, any_new);
   if (any_new && on_arrival_) on_arrival_();
 }
 
@@ -132,7 +133,9 @@ void BatchBroadcaster::on_request(const BatchRequest& req) {
 
 void BatchBroadcaster::on_response(const BatchResponse& resp) {
   bool any_new = false;
-  for (const Batch& batch : resp.batches) ingest(batch, any_new);
+  for (const Batch& batch : resp.batches) {
+    ingest(batch, batch.digest_is_valid(), any_new);
+  }
   if (any_new && on_arrival_) on_arrival_();
 }
 

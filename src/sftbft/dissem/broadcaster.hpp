@@ -56,7 +56,9 @@ class BatchBroadcaster {
   /// pull state, counters), as if freshly constructed.
   void reset();
 
-  void on_push(const BatchPush& push);
+  /// A push arrives decoded and digest-checked (CheckedPush::of), once per
+  /// broadcast envelope; pulled batches are checked here, one by one.
+  void on_push(const CheckedPush& push);
   void on_request(const BatchRequest& req);
   void on_response(const BatchResponse& resp);
 
@@ -76,7 +78,7 @@ class BatchBroadcaster {
   void schedule_pack();
   void pack_and_push();
   void pull_round();
-  void ingest(const Batch& batch, bool& any_new);
+  void ingest(const Batch& batch, bool digest_valid, bool& any_new);
 
   ReplicaId id_;
   std::uint32_t n_;

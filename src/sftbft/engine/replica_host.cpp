@@ -305,7 +305,7 @@ void ReplicaHost::fan_out(Envelope env, bool include_self, bool withholdable,
     return;
   }
   // The strategy filter acts per link, so adversarial traffic fans out per
-  // peer (self first, then peers in ascending id) and pays its own encoding.
+  // peer (self first, then peers in ascending id), one envelope per peer.
   // Self-delivery is never filtered: a withholding leader still certifies
   // privately against its own view.
   if (include_self) byz_->funnel.send_self(env);
@@ -347,7 +347,7 @@ void ReplicaHost::on_envelope(const Envelope& env) {
   try {
     switch (env.type) {
       case WireType::kBatchPush:
-        data_plane().on_push(env.unpack<dissem::BatchPush>());
+        data_plane().on_push(dissem::CheckedPush::of(env));
         break;
       case WireType::kBatchRequest:
         data_plane().on_request(env.unpack<dissem::BatchRequest>());

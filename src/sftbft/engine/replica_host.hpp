@@ -18,7 +18,7 @@
 //
 // Outbound behaviour follows the FaultSpec:
 //  * Honest (also Crash, CrashRestart, Corrupt) — plain transport;
-//    broadcasts use the shared-frame Transport::broadcast;
+//    broadcasts use the shared-envelope Transport::broadcast;
 //  * Silent — every outbound message is dropped; the replica keeps
 //    receiving and stays synced;
 //  * Byzantine — adversary::OutboundFunnel delivery plus message crafting

@@ -61,7 +61,7 @@ const char* wire_type_name(WireType type) {
 
 Bytes Envelope::encode() const {
   Encoder enc;
-  enc.reserve(kOverhead + payload.size());
+  enc.reserve(encoded_size());
   enc.u8(static_cast<std::uint8_t>(type));
   enc.u32(sender);
   enc.bytes(BytesView(payload));

@@ -11,14 +11,19 @@
 //     u32 crc32     -- over everything above (IEEE 802.3, shared with the
 //                      storage WAL's framing)
 //
-// The encoded frame is the *only* thing the transport sees: the bytes
-// charged against link bandwidth are exactly `encode().size()`, a receiver
-// that gets flipped bits rejects the frame with CodecError (the CRC), and a
-// future socket backend can stream these frames verbatim. There is no
-// second, hand-estimated notion of wire size anywhere.
+// `encoded_size()` is the message's exact wire size: every byte a link is
+// charged, every stats line and every bandwidth delay takes it, and it is
+// pinned equal to `encode().size()` for every tag (wire_test). There is no
+// second, hand-estimated notion of wire size anywhere. The frame bytes
+// themselves are built only where someone reads them: on a link a
+// CorruptSpec corrupts, whose receiver must reject the flipped bits at the
+// CRC (CodecError), and in a future socket backend that streams frames
+// verbatim. A clean simulated link delivers the sender's Envelope as is.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "sftbft/common/bytes.hpp"
 #include "sftbft/common/codec.hpp"
@@ -81,11 +86,21 @@ struct Envelope {
   ReplicaId sender = kNoReplica;
   Bytes payload;
 
+  Envelope() = default;
+  Envelope(WireType type, ReplicaId sender, Bytes payload)
+      : type(type), sender(sender), payload(std::move(payload)) {}
+
   /// Frame overhead around a payload of any size (type + sender + length +
   /// crc): the exact constant, not an estimate.
   static constexpr std::size_t kOverhead = 1 + 4 + 4 + 4;
 
-  /// Canonical frame bytes; `encode().size()` IS the message's wire size.
+  /// The message's wire size, without building the frame: always equal to
+  /// `encode().size()`.
+  [[nodiscard]] std::size_t encoded_size() const {
+    return kOverhead + payload.size();
+  }
+
+  /// Canonical frame bytes (framing plus a CRC over the whole frame).
   [[nodiscard]] Bytes encode() const;
 
   /// Parses and validates a frame: known tag, intact length, matching CRC,
@@ -115,7 +130,46 @@ struct Envelope {
     return msg;
   }
 
-  friend bool operator==(const Envelope&, const Envelope&) = default;
+  /// Returns `derive(*this)`, computed at most once per Envelope object.
+  /// The transport hands every clean recipient of a broadcast the same
+  /// immutable Envelope, so a view derived from its payload (a decoded and
+  /// checked message) is shared instead of recomputed per receiver. A
+  /// derive that throws caches nothing. The memo holds one view type at a
+  /// time and starts empty in every copy, move or assignment, so it only
+  /// ever describes the bytes it was computed from; the payload must not
+  /// change after the first call. Not synchronized: an envelope object
+  /// belongs to one simulation thread.
+  template <typename T, typename Derive>
+  [[nodiscard]] const T& derived(Derive&& derive) const {
+    if (memo_.key != &kMemoKey<T>) {
+      memo_.value = std::make_shared<const T>(derive(*this));
+      memo_.key = &kMemoKey<T>;
+    }
+    return *static_cast<const T*>(memo_.value.get());
+  }
+
+  /// The memo takes no part in equality.
+  friend bool operator==(const Envelope& a, const Envelope& b) {
+    return a.type == b.type && a.sender == b.sender && a.payload == b.payload;
+  }
+
+ private:
+  template <typename T>
+  static constexpr char kMemoKey = 0;
+
+  struct Memo {
+    Memo() = default;
+    Memo(const Memo&) noexcept {}
+    Memo& operator=(const Memo&) noexcept {
+      key = nullptr;
+      value.reset();
+      return *this;
+    }
+
+    const char* key = nullptr;
+    std::shared_ptr<const void> value;
+  };
+  mutable Memo memo_;
 };
 
 }  // namespace sftbft::net

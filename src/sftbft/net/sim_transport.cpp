@@ -1,6 +1,7 @@
 #include "sftbft/net/sim_transport.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -30,49 +31,51 @@ SimTransport::SimTransport(sim::Scheduler& sched, Topology topology,
 
 void SimTransport::send(ReplicaId to, Envelope env, const char* label) {
   const char* key = label != nullptr ? label : wire_type_name(env.type);
-  const auto frame = std::make_shared<const Bytes>(env.encode());
   const auto shared = std::make_shared<const Envelope>(std::move(env));
-  route(shared->sender, to, key, frame, shared);
+  std::optional<Bytes> frame;
+  route(shared->sender, to, key, shared, frame);
 }
 
 void SimTransport::broadcast(Envelope env, bool include_self,
                              const char* label) {
   const char* key = label != nullptr ? label : wire_type_name(env.type);
-  // Encode ONCE; every recipient's delivery shares this frame buffer (and
-  // the envelope — immutable, so no per-recipient re-validation either).
-  const auto frame = std::make_shared<const Bytes>(env.encode());
+  // Every clean recipient shares this one immutable envelope; the frame
+  // bytes are built at most once, and only if a corrupted link needs them.
   const auto shared = std::make_shared<const Envelope>(std::move(env));
+  std::optional<Bytes> frame;
   const ReplicaId from = shared->sender;
   std::uint32_t recipients = 0;
   for (ReplicaId to = 0; to < topology_.size(); ++to) {
     if (to == from && !include_self) continue;
-    route(from, to, key, frame, shared);
+    route(from, to, key, shared, frame);
     ++recipients;
   }
   if (recipients > 1) {
     stats_.record_broadcast_savings(
-        static_cast<std::uint64_t>(recipients - 1) * frame->size());
+        static_cast<std::uint64_t>(recipients - 1) * shared->encoded_size());
   }
 }
 
 void SimTransport::route(ReplicaId from, ReplicaId to, const char* label,
-                         const std::shared_ptr<const Bytes>& frame,
-                         const std::shared_ptr<const Envelope>& env) {
-  stats_.record(label, frame->size());
-  if (from != to) stats_.record_egress(from, frame->size());
+                         const std::shared_ptr<const Envelope>& env,
+                         std::optional<Bytes>& frame) {
+  const std::size_t size = env->encoded_size();
+  stats_.record(label, size);
+  if (from != to) stats_.record_egress(from, size);
   if (filter_ && !filter_(from, to)) return;
   if (from == to) {
     // Self-sends never touch a physical link: immediate, uncorrupted.
-    deliver(to, *env, frame->size());
+    deliver(to, *env, size);
     return;
   }
-  const std::shared_ptr<const Bytes> wire = maybe_corrupt(from, to, frame);
+  const std::shared_ptr<const Bytes> corrupted =
+      maybe_corrupt(from, to, *env, frame);
   const SimTime start = std::max(sched_.now(), config_.gst);
   const SimDuration base = topology_.base_delay(from, to);
   SimDuration delay = base;
   if (config_.bandwidth_bytes_per_sec > 0) {
     delay += static_cast<SimDuration>(
-        (static_cast<double>(wire->size()) /
+        (static_cast<double>(size) /
          static_cast<double>(config_.bandwidth_bytes_per_sec)) *
         1e6);
   }
@@ -97,7 +100,7 @@ void SimTransport::route(ReplicaId from, ReplicaId to, const char* label,
       const std::uint64_t recv_lane = kNetLaneBase + from;
       obs_->emit_trace_only(obs::span_event(
           "net", label, from, send_lane, sent_at, arrive_at,
-          {"bytes", static_cast<std::uint64_t>(wire->size())}, {"to", to}));
+          {"bytes", static_cast<std::uint64_t>(size)}, {"to", to}));
       obs_->emit_trace_only(
           obs::flow_start_event("net", label, from, send_lane, sent_at, flow));
       obs_->emit_trace_only(obs::span_event("net", label, to, recv_lane,
@@ -107,14 +110,14 @@ void SimTransport::route(ReplicaId from, ReplicaId to, const char* label,
                                                    arrive_at, flow));
     }
   }
-  if (wire != frame) {
+  if (corrupted) {
     // Corrupted in flight: the receiver must confront the damaged bytes.
-    sched_.schedule_at(start + delay,
-                       [this, to, wire] { deliver_bytes(to, *wire); });
-  } else {
-    sched_.schedule_at(start + delay, [this, to, env, size = frame->size()] {
-      deliver(to, *env, size);
+    sched_.schedule_at(start + delay, [this, to, corrupted] {
+      deliver_bytes(to, *corrupted);
     });
+  } else {
+    sched_.schedule_at(start + delay,
+                       [this, to, env, size] { deliver(to, *env, size); });
   }
 }
 
@@ -138,13 +141,15 @@ void SimTransport::deliver(ReplicaId to, const Envelope& env,
 }
 
 std::shared_ptr<const Bytes> SimTransport::maybe_corrupt(
-    ReplicaId from, ReplicaId to, const std::shared_ptr<const Bytes>& frame) {
-  if (corruption_.empty() || sched_.now() >= config_.gst) return frame;
+    ReplicaId from, ReplicaId to, const Envelope& env,
+    std::optional<Bytes>& frame) {
+  if (corruption_.empty() || sched_.now() >= config_.gst) return nullptr;
   const auto it = corruption_.find(from);
-  if (it == corruption_.end()) return frame;
+  if (it == corruption_.end()) return nullptr;
   const CorruptSpec& spec = it->second;
-  if (!spec.applies_to(to) || !corrupt_rng_.chance(spec.rate)) return frame;
+  if (!spec.applies_to(to) || !corrupt_rng_.chance(spec.rate)) return nullptr;
 
+  if (!frame) frame = env.encode();
   auto corrupted = std::make_shared<Bytes>(*frame);
   const std::size_t total_bits = corrupted->size() * 8;
   // Clamp to the frame's bit count — a spec's max_flips can exceed a small

@@ -8,13 +8,13 @@
 //
 //     max(s, GST) + base_delay(from, to) + frame_bytes/bandwidth + jitter
 //
-// where `frame_bytes` is the EXACT encoded Envelope size (no estimates),
-// which realizes the partial-synchrony contract: after the (configurable)
-// Global Stabilization Time every message arrives within Δ. Before GST the
-// adversary may delay or drop messages via a link filter, partition the
-// network, or flip bits on selected links (CorruptSpec) — corrupted frames
-// fail Envelope::decode at the receiver and are counted as corrupt drops,
-// never delivered.
+// where `frame_bytes` is the EXACT encoded Envelope size
+// (Envelope::encoded_size, no estimates), which realizes the
+// partial-synchrony contract: after the (configurable) Global Stabilization
+// Time every message arrives within Δ. Before GST the adversary may delay
+// or drop messages via a link filter, partition the network, or flip bits
+// on selected links (CorruptSpec) — corrupted frames fail Envelope::decode
+// at the receiver and are counted as corrupt drops, never delivered.
 //
 // This replaces the old per-protocol SimNetwork<Message> templates: both
 // stacks now share one instance of this class per deployment.
@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -103,20 +104,23 @@ class SimTransport final : public Transport {
   void set_observer(obs::Observer* observer) { obs_ = observer; }
 
  private:
-  /// Routes one already-encoded frame; the shared buffer is what makes
-  /// broadcast encode-once (route never copies except to corrupt). `env`
-  /// is the sender's envelope the frame was encoded from — identical to
-  /// the frame's content by construction, so clean deliveries share it
-  /// instead of re-validating the same immutable bytes per recipient.
+  /// Charges and schedules one delivery of `env`. Clean links deliver the
+  /// shared envelope itself (one immutable object per send or broadcast, so
+  /// receivers may share views derived from it: Envelope::derived). `frame`
+  /// is the send's lazily built frame, filled by the first link that
+  /// corrupts and reused by the rest.
   void route(ReplicaId from, ReplicaId to, const char* label,
-             const std::shared_ptr<const Bytes>& frame,
-             const std::shared_ptr<const Envelope>& env);
-  /// Byte-level receive for (possibly) corrupted frames: decode (CRC +
-  /// framing) or drop as corrupt.
+             const std::shared_ptr<const Envelope>& env,
+             std::optional<Bytes>& frame);
+  /// Byte-level receive for corrupted frames: decode (CRC + framing) into a
+  /// fresh envelope or drop as corrupt.
   void deliver_bytes(ReplicaId to, const Bytes& frame);
   void deliver(ReplicaId to, const Envelope& env, std::size_t frame_bytes);
+  /// Draws this link's corruption; on a hit returns a damaged copy of the
+  /// frame (building `frame` first if no link has yet), else null.
   [[nodiscard]] std::shared_ptr<const Bytes> maybe_corrupt(
-      ReplicaId from, ReplicaId to, const std::shared_ptr<const Bytes>& frame);
+      ReplicaId from, ReplicaId to, const Envelope& env,
+      std::optional<Bytes>& frame);
 
   sim::Scheduler& sched_;
   Topology topology_;

@@ -73,8 +73,9 @@ class MessageStats {
   void record_decode_drop() { ++decode_drops_; }
   [[nodiscard]] std::uint64_t decode_drops() const { return decode_drops_; }
 
-  /// Bytes the broadcast path did NOT re-encode thanks to frame sharing
-  /// ((recipients - 1) x frame size per broadcast).
+  /// Bytes a per-recipient encoder would have serialized on top of one
+  /// frame per broadcast ((recipients - 1) x frame size); the shared
+  /// broadcast envelope serializes none of them.
   void record_broadcast_savings(std::uint64_t bytes) {
     broadcast_saved_bytes_ += bytes;
   }

@@ -3,10 +3,11 @@
 //
 // Every message crosses this boundary as an Envelope whose encoded frame is
 // the literal on-wire representation: the transport charges bandwidth and
-// records stats by `Envelope::encode().size()` — no per-message size
-// estimates exist anywhere above or below this interface. A future
-// multi-process/TCP backend implements exactly this class; SimTransport
-// (sim_transport.hpp) is the discrete-event implementation.
+// records stats by `Envelope::encoded_size()` (always `encode().size()`) —
+// no per-message size estimates exist anywhere above or below this
+// interface. A future multi-process/TCP backend implements exactly this
+// class; SimTransport (sim_transport.hpp) is the discrete-event
+// implementation.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +55,10 @@ class Transport {
   /// must do so inside a signed payload, never via this field.
   virtual void send(ReplicaId to, Envelope env, const char* label = nullptr) = 0;
 
-  /// Sends to every replica, encoding the frame ONCE and sharing the buffer
-  /// across all recipients (`include_self` adds an immediate self-delivery,
-  /// which is how a leader counts its own vote without a round-trip).
+  /// Sends to every replica. All clean recipients share the one envelope,
+  /// and a frame is built at most once per broadcast, only if some link
+  /// needs its bytes (`include_self` adds an immediate self-delivery, which
+  /// is how a leader counts its own vote without a round-trip).
   virtual void broadcast(Envelope env, bool include_self,
                          const char* label = nullptr) = 0;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sftbft/common/codec.hpp"
+#include "sftbft/common/crc32.hpp"
 #include "sftbft/obs/observer.hpp"
 #include "sftbft/sim/scheduler.hpp"
 

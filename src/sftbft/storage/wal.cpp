@@ -11,8 +11,6 @@ constexpr std::size_t kHeaderBytes = 8;  // u32 length + u32 crc
 
 }  // namespace
 
-std::uint32_t crc32(BytesView data) { return sftbft::crc32(data); }
-
 Bytes Wal::frame(BytesView record) {
   Encoder enc;
   enc.u32(static_cast<std::uint32_t>(record.size()));

@@ -23,10 +23,6 @@
 
 namespace sftbft::storage {
 
-/// CRC-32 (IEEE 802.3, reflected) — the WAL frame checksum. Exposed so tests
-/// can forge/verify frames.
-[[nodiscard]] std::uint32_t crc32(BytesView data);
-
 class Wal {
  public:
   Wal(StorageBackend& backend, std::string name)

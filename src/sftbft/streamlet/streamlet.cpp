@@ -320,7 +320,8 @@ void StreamletCore::request_sync() {
 
 void StreamletCore::on_sync_request(const SSyncRequest& req) {
   if (stopped_ || !hooks_.send_sync_response) return;
-  if (req.requester == config_.id) return;
+  // The requester id comes off the wire: reply only to a real peer.
+  if (req.requester >= config_.n || req.requester == config_.id) return;
   auto chain_blocks =
       core::collect_chain(tree_, longest_tip_, req.from_height);
   if (!chain_blocks) {

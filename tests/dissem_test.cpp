@@ -147,6 +147,34 @@ TEST(BatchStore, LateBatchForCommittedDigestFilesAsCommitted) {
   EXPECT_TRUE(missing2.empty());
 }
 
+TEST(CheckedPush, VerdictNeverSurvivesCopyOrAssignment) {
+  // The shared decode-and-check record belongs to one envelope object: a
+  // copy or an assignment starts without it, so a copy whose bytes are
+  // then replaced by tampered ones is checked afresh.
+  const net::Envelope env = net::Envelope::pack(
+      net::WireType::kBatchPush, 0, BatchPush{make_batch(0, 0, {1, 2})});
+  Batch forged = make_batch(0, 0, {1, 2});
+  forged.txns[0].id = 77;
+  const net::Envelope forged_env = net::Envelope::pack(
+      net::WireType::kBatchPush, 0, BatchPush{forged});
+
+  const CheckedPush& checked = CheckedPush::of(env);
+  EXPECT_TRUE(checked.digest_valid);
+  EXPECT_EQ(&CheckedPush::of(env), &checked);  // once per object
+
+  net::Envelope copy = env;
+  EXPECT_EQ(copy, env);  // the memo takes no part in equality
+  EXPECT_NE(&CheckedPush::of(copy), &checked);
+  net::Envelope tampered = env;
+  tampered.payload = forged_env.payload;
+  EXPECT_FALSE(CheckedPush::of(tampered).digest_valid);
+
+  net::Envelope assigned = forged_env;
+  EXPECT_FALSE(CheckedPush::of(assigned).digest_valid);
+  assigned = env;
+  EXPECT_TRUE(CheckedPush::of(assigned).digest_valid);
+}
+
 // -------------------------------------------------------- BatchBroadcaster
 
 struct Plane {
@@ -154,6 +182,13 @@ struct Plane {
   BatchStore store;
   std::unique_ptr<BatchBroadcaster> broadcaster;
   std::uint32_t arrivals = 0;
+  /// Per delivered kBatchPush: which checked-push record it resolved to
+  /// (its address while alive) and that record's verdict.
+  struct SeenPush {
+    std::uintptr_t record = 0;
+    bool digest_valid = false;
+  };
+  std::vector<SeenPush> pushes;
 
   void wire(ReplicaId id, net::SimTransport& transport, DissemConfig config,
             BatchBroadcaster::Options options = {.silent = false,
@@ -162,9 +197,13 @@ struct Plane {
         id, transport, pool, store, config, [this] { ++arrivals; }, options);
     transport.set_handler(id, [this](const net::Envelope& env, std::size_t) {
       switch (env.type) {
-        case net::WireType::kBatchPush:
-          broadcaster->on_push(env.unpack<BatchPush>());
+        case net::WireType::kBatchPush: {
+          const CheckedPush& push = CheckedPush::of(env);
+          pushes.push_back({reinterpret_cast<std::uintptr_t>(&push),
+                            push.digest_valid});
+          broadcaster->on_push(push);
           break;
+        }
         case net::WireType::kBatchRequest:
           broadcaster->on_request(env.unpack<BatchRequest>());
           break;
@@ -233,21 +272,42 @@ TEST(BatchBroadcaster, PullRecoversWithheldBatch) {
 }
 
 TEST(BatchBroadcaster, TamperedBatchIsRejected) {
+  // Broadcast to three peers: every clean recipient shares one envelope, so
+  // one decode and one digest check serve all of them.
   sim::Scheduler sched;
-  net::SimTransport transport(sched, net::Topology::uniform(2, millis(1)),
+  net::SimTransport transport(sched, net::Topology::uniform(4, millis(1)),
                               {}, 3);
   DissemConfig config;
-  Plane planes[2];
-  planes[0].wire(0, transport, config);
-  planes[1].wire(1, transport, config);
+  Plane planes[4];
+  for (ReplicaId id = 0; id < 4; ++id) planes[id].wire(id, transport, config);
 
   Batch forged = make_batch(0, 0, {1, 2});
   forged.txns[0].id = 77;  // bytes no longer match the content address
-  transport.send(1, net::Envelope::pack(net::WireType::kBatchPush, 0,
-                                        BatchPush{forged}));
+  transport.broadcast(net::Envelope::pack(net::WireType::kBatchPush, 0,
+                                          BatchPush{forged}),
+                      /*include_self=*/false);
   sched.run_until_idle();
-  EXPECT_EQ(planes[1].store.size(), 0u);
-  EXPECT_EQ(planes[1].arrivals, 0u);
+  for (ReplicaId id = 1; id < 4; ++id) {
+    ASSERT_EQ(planes[id].pushes.size(), 1u);
+    EXPECT_EQ(planes[id].pushes[0].record, planes[1].pushes[0].record);
+    EXPECT_FALSE(planes[id].pushes[0].digest_valid);
+    EXPECT_EQ(planes[id].store.size(), 0u);
+    EXPECT_EQ(planes[id].arrivals, 0u);
+  }
+
+  const Batch valid = make_batch(0, 1, {1, 2});
+  transport.broadcast(net::Envelope::pack(net::WireType::kBatchPush, 0,
+                                          BatchPush{valid}),
+                      /*include_self=*/false);
+  sched.run_until_idle();
+  for (ReplicaId id = 1; id < 4; ++id) {
+    ASSERT_EQ(planes[id].pushes.size(), 2u);
+    EXPECT_EQ(planes[id].pushes[1].record, planes[1].pushes[1].record);
+    EXPECT_TRUE(planes[id].pushes[1].digest_valid);
+    EXPECT_TRUE(planes[id].store.has(valid.digest));
+    EXPECT_FALSE(planes[id].store.has(forged.digest));
+    EXPECT_EQ(planes[id].arrivals, 1u);
+  }
 }
 
 // -------------------------------------------------------- AdmissionFrontend

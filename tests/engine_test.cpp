@@ -149,6 +149,36 @@ TEST(Engine, CorruptLinksDropFramesPreGstThenRecoverOnBothProtocols) {
   }
 }
 
+TEST(Engine, OutOfRangeSyncRequesterIsIgnoredOnAllProtocols) {
+  // The requester id of a sync request comes off the wire. One naming a
+  // replica that does not exist (id n) gets no reply: no sync_resp frame is
+  // charged (the reply would route to a link outside the topology), and
+  // the run keeps committing.
+  for (const Protocol protocol : engine::kAllProtocols) {
+    harness::Scenario s = crash_scenario(protocol);
+    s.faults.clear();
+    Deployment deployment(s.to_deployment_config());
+    deployment.start();
+    deployment.run_for(millis(500));
+    const std::uint64_t committed = deployment.ledger(0).committed_blocks();
+    const std::uint64_t responses =
+        deployment.net_stats().for_type("sync_resp").count;
+    const net::WireType tag =
+        protocol == Protocol::Streamlet ? net::WireType::kSSyncRequest
+        : protocol == Protocol::HotStuff ? net::WireType::kHSyncRequest
+                                         : net::WireType::kSyncRequest;
+    deployment.transport().send(
+        0, net::Envelope::pack(tag, 1,
+                               types::SyncRequest{.requester = s.n,
+                                                  .from_height = 0}));
+    deployment.run_for(seconds(2));
+    EXPECT_EQ(deployment.net_stats().for_type("sync_resp").count, responses)
+        << engine::protocol_name(protocol);
+    EXPECT_GT(deployment.ledger(0).committed_blocks(), committed + 5)
+        << engine::protocol_name(protocol);
+  }
+}
+
 TEST(Engine, CorruptSpecValidationRejectsNonsense) {
   harness::Scenario s = crash_scenario(Protocol::DiemBft);
   s.gst = seconds(1);

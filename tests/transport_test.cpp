@@ -256,6 +256,56 @@ TEST(SimTransport, CorruptionRespectsPeerSelection) {
   EXPECT_EQ(net.stats().corrupt_drops(), 1u);
 }
 
+TEST(SimTransport, PartiallyCorruptedBroadcastMatchesCleanRun) {
+  // Two of four links corrupt: only those two see frame bytes (and drop
+  // them at the CRC). The clean links deliver on exactly the schedule of a
+  // run with no corruption at the same seed, and every size charged is the
+  // canonical frame size.
+  const Envelope env = make_envelope(0, Bytes(300, 4), WireType::kProposal);
+  const std::size_t frame = env.encode().size();
+  struct Run {
+    std::vector<Delivery> deliveries;
+    MessageStats stats;
+  };
+  const auto run = [&env](bool corrupt) {
+    Harness h;
+    auto net = h.make(Topology::uniform(5, millis(10)),
+                      {.jitter = millis(5),
+                       .bandwidth_bytes_per_sec = 100'000,
+                       .gst = seconds(1)},
+                      11);
+    if (corrupt) {
+      net.set_corruption(0, CorruptSpec{.rate = 1.0, .peers = {1, 2}});
+    }
+    net.broadcast(env, /*include_self=*/false);
+    h.sched.run_until_idle();
+    return Run{h.deliveries, net.stats()};
+  };
+  const Run clean = run(false);
+  const Run corrupted = run(true);
+
+  EXPECT_EQ(corrupted.stats.corrupt_injected(), 2u);
+  EXPECT_EQ(corrupted.stats.corrupt_drops(), 2u);
+  ASSERT_EQ(clean.deliveries.size(), 4u);
+  ASSERT_EQ(corrupted.deliveries.size(), 2u);
+  for (const Delivery& got : corrupted.deliveries) {
+    ASSERT_TRUE(got.at_replica == 3 || got.at_replica == 4);
+    const auto same = std::find_if(
+        clean.deliveries.begin(), clean.deliveries.end(),
+        [&got](const Delivery& d) { return d.at_replica == got.at_replica; });
+    ASSERT_NE(same, clean.deliveries.end());
+    EXPECT_EQ(got.at, same->at);
+    EXPECT_EQ(got.payload, env.payload);
+    EXPECT_EQ(got.frame_bytes, frame);
+  }
+  for (const Run* r : {&clean, &corrupted}) {
+    EXPECT_EQ(r->stats.for_type("proposal").count, 4u);
+    EXPECT_EQ(r->stats.for_type("proposal").bytes, 4 * frame);
+    EXPECT_EQ(r->stats.egress_by_replica().at(0), 4 * frame);
+    EXPECT_EQ(r->stats.broadcast_saved_bytes(), 3 * frame);
+  }
+}
+
 TEST(SimTransport, SelfSendsNeverCorrupted) {
   Harness h;
   auto net = h.make(Topology::uniform(2, millis(10)), {.gst = seconds(1)});

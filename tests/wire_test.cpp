@@ -274,7 +274,9 @@ std::vector<Envelope> all_message_envelopes(Rng& rng) {
 TEST(WireParity, ChargedBytesEqualCanonicalEncodingForEveryType) {
   // The acceptance check of the refactor: for every message type on both
   // stacks, the size the transport charges (send-side stats AND the
-  // receiver's frame accounting) is exactly encode().size().
+  // receiver's frame accounting) is exactly encode().size(), and
+  // encoded_size() (which the transport charges) computes it without
+  // building the frame.
   Rng rng(2024);
   sim::Scheduler sched;
   SimTransport transport(sched, net::Topology::uniform(7, millis(1)), {}, 1);
@@ -289,6 +291,7 @@ TEST(WireParity, ChargedBytesEqualCanonicalEncodingForEveryType) {
   for (int round = 0; round < 5; ++round) {
     for (Envelope& env : all_message_envelopes(rng)) {
       const std::size_t canonical = env.encode().size();
+      EXPECT_EQ(env.encoded_size(), env.encode().size());
       expected_bytes += canonical;
       ++sent;
       transport.send(1, std::move(env));
@@ -318,6 +321,7 @@ TEST(WireParity, PayloadBodiesAreOnTheWire) {
   proposal.block.seal();
   const Envelope env = Envelope::pack(WireType::kProposal, 0, proposal);
   EXPECT_GE(env.encode().size(), 450'000u);
+  EXPECT_EQ(env.encoded_size(), env.encode().size());
 }
 
 // ------------------------------------------------------------- round trip
