@@ -11,7 +11,9 @@
 #include "sftbft/crypto/sha256.hpp"
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
+#include "sftbft/dissem/admission.hpp"
 #include "sftbft/dissem/batch.hpp"
+#include "sftbft/mempool/mempool.hpp"
 #include "sftbft/net/envelope.hpp"
 #include "sftbft/net/sim_transport.hpp"
 #include "sftbft/sim/scheduler.hpp"
@@ -432,6 +434,68 @@ void BM_BroadcastBatchPushN50(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BroadcastBatchPushN50)->Unit(benchmark::kMillisecond);
+
+/// mark_committed of a 250-transaction batch from another replica's id
+/// space (fresh ids each iteration, as in a live run) against a pool
+/// holding 4,000 own transactions: the inline-mode cost of every block a
+/// replica did not propose.
+void BM_MempoolMarkCommittedForeign250(benchmark::State& state) {
+  mempool::Mempool pool;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    pool.submit({.id = (std::uint64_t{1} << 40) | i, .submitted_at = 0,
+                 .size_bytes = 450});
+  }
+  types::Payload foreign;
+  foreign.txns.resize(250, {.id = 0, .submitted_at = 0, .size_bytes = 450});
+  std::uint64_t next = std::uint64_t{2} << 40;
+  for (auto _ : state) {
+    for (types::Transaction& txn : foreign.txns) txn.id = next++;
+    pool.mark_committed(foreign);
+  }
+  if (pool.pending() != 4000) state.SkipWithError("own transactions lost");
+}
+BENCHMARK(BM_MempoolMarkCommittedForeign250);
+
+/// One rate-limited submission through the AdmissionFrontend with 50
+/// clients, each with a full dedup window and its per-second budget spent:
+/// the outcome of ~95% of the swarm's submissions on digest_dissem.
+void BM_AdmissionRateLimitedSubmit(benchmark::State& state) {
+  constexpr std::uint32_t kClients = 50;
+  mempool::Mempool pool;
+  dissem::DissemConfig config;
+  config.clients = kClients;
+  config.client_rate_limit = 5;
+  dissem::AdmissionFrontend frontend(pool, config);
+  std::vector<std::uint64_t> seq(kClients, 0);
+  const auto id_of = [&seq](std::uint32_t client) {
+    return (std::uint64_t{client} << 26) | seq[client]++;
+  };
+  SimTime now = 0;
+  for (std::size_t filled = 0; filled < config.client_dedup_window;
+       filled += config.client_rate_limit, now += seconds(1)) {
+    for (std::uint32_t client = 0; client < kClients; ++client) {
+      for (std::uint32_t i = 0; i < config.client_rate_limit; ++i) {
+        frontend.submit(client,
+                        {.id = id_of(client), .submitted_at = now,
+                         .size_bytes = 450},
+                        now);
+      }
+    }
+  }
+  now -= seconds(1);  // inside the last window: every budget is spent
+  std::uint32_t client = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(frontend.submit(
+        client, {.id = id_of(client), .submitted_at = now, .size_bytes = 450},
+        now));
+    client = (client + 1) % kClients;
+  }
+  if (frontend.stats().rate_limited !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a submission was not rate-limited");
+  }
+}
+BENCHMARK(BM_AdmissionRateLimitedSubmit);
 
 /// Encoder growth with the exact pre-reserve (the shipped behaviour)...
 void BM_EncoderAppendReserved(benchmark::State& state) {

@@ -41,8 +41,11 @@ class Committer {
   }
 
   /// Dissemination mode: digest-referencing payloads are resolved against
-  /// `batches` before the ledger append (so committed-transaction counts
-  /// and mempool accounting stay exact). `pull` (may be empty) is invoked
+  /// `batches` before the ledger append, so the ledger holds every committed
+  /// transaction. The mempool hears only about the batches this replica
+  /// packed: a transaction enters exactly one replica's mempool and leaves
+  /// it in exactly one batch, so no other batch can touch it (inline
+  /// payloads reach the mempool whole). `pull` (may be empty) is invoked
   /// with any digests whose batches have not arrived yet — possible only on
   /// the block-sync path, since the vote-availability gate guarantees 2f+1
   /// voters held the data; the store files those batches as committed when
@@ -67,21 +70,24 @@ class Committer {
       // first commit): the store dedups by digest, so a batch referenced by
       // competing forks counts toward exactly one ledger entry.
       const types::Block* target = block;
+      const types::Payload* to_pool = &block->payload;
       types::Block materialized;
+      dissem::BatchStore::Resolved resolved;
       if (batch_store_ && block->payload.is_digests() &&
           !ledger_->is_committed(block->height)) {
         std::vector<crypto::Sha256Digest> missing;
+        resolved = batch_store_->resolve_committed(block->payload, missing);
+        if (!missing.empty() && pull_batches_) pull_batches_(missing);
         materialized = *block;
         materialized.payload = types::Payload{};
-        materialized.payload.txns =
-            batch_store_->resolve_committed(block->payload, missing);
-        if (!missing.empty() && pull_batches_) pull_batches_(missing);
+        materialized.payload.txns = std::move(resolved.txns);
         target = &materialized;
+        to_pool = &resolved.own;
       }
       const auto result = ledger_->commit(*target, strength, sched_->now());
       if (result == chain::Ledger::CommitResult::NoChange) break;
       if (result == chain::Ledger::CommitResult::New) {
-        pool_->mark_committed(target->payload);
+        pool_->mark_committed(*to_pool);
       }
       if (store_) store_->record_commit(ledger_->at(block->height));
       if (on_commit_) on_commit_(*block, strength, sched_->now());

@@ -1,6 +1,7 @@
 #include "sftbft/dissem/admission.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "sftbft/obs/observer.hpp"
 
@@ -44,7 +45,10 @@ void note_outcome(const DissemConfig& config, AdmissionFrontend::Outcome out,
 
 AdmissionFrontend::AdmissionFrontend(mempool::Mempool& pool,
                                      DissemConfig config)
-    : pool_(pool), config_(config) {
+    : pool_(pool),
+      config_(config),
+      clients_(std::max<std::uint32_t>(1, config.clients)),
+      recent_(clients_.size() * config.client_dedup_window) {
   pool_.set_capacity(config_.mempool_capacity);
 }
 
@@ -59,9 +63,15 @@ AdmissionFrontend::Outcome AdmissionFrontend::submit(std::uint64_t client,
 AdmissionFrontend::Outcome AdmissionFrontend::classify(std::uint64_t client,
                                                        types::Transaction txn,
                                                        SimTime now) {
+  if (client >= clients_.size()) {
+    throw std::out_of_range("AdmissionFrontend::submit: unknown client");
+  }
   ClientState& state = clients_[client];
-
-  if (state.recent.contains(txn.id)) {
+  const std::size_t window = config_.client_dedup_window;
+  std::uint64_t* ring = recent_.data() + client * window;
+  std::uint64_t* ring_end =
+      ring + std::min<std::uint64_t>(state.admitted, window);
+  if (std::find(ring, ring_end, txn.id) != ring_end) {
     ++stats_.duplicates;
     return Outcome::kDuplicate;
   }
@@ -89,12 +99,8 @@ AdmissionFrontend::Outcome AdmissionFrontend::classify(std::uint64_t client,
   }
 
   ++state.window_used;
-  state.recent.insert(txn.id);
-  state.recent_order.push_back(txn.id);
-  while (state.recent_order.size() > config_.client_dedup_window) {
-    state.recent.erase(state.recent_order.front());
-    state.recent_order.pop_front();
-  }
+  if (window > 0) ring[state.admitted % window] = txn.id;
+  ++state.admitted;
   ++stats_.admitted;
   return Outcome::kAdmitted;
 }

@@ -16,9 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sftbft/common/rng.hpp"
@@ -47,7 +44,11 @@ class AdmissionFrontend {
 
   AdmissionFrontend(mempool::Mempool& pool, DissemConfig config);
 
-  /// One client submission at simulation time `now`.
+  /// One client submission at simulation time `now`. `client` is a
+  /// ClientSwarm index, below `config.clients` (at least one client, as in
+  /// the swarm); any other id throws std::out_of_range. The frontend feeds
+  /// only its own replica's mempool, so every transaction admitted here
+  /// belongs to this replica's id space.
   Outcome submit(std::uint64_t client, types::Transaction txn, SimTime now);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -58,19 +59,26 @@ class AdmissionFrontend {
   /// The decision logic; submit() wraps it with observability reporting.
   Outcome classify(std::uint64_t client, types::Transaction txn, SimTime now);
 
+  /// One client's admission record. Its dedup window is the client's
+  /// slice of `recent_`: a ring of the last client_dedup_window admitted
+  /// ids, scanned linearly (the window is a few dozen ids).
   struct ClientState {
-    /// Recently admitted ids, FIFO-bounded to client_dedup_window.
-    std::unordered_set<std::uint64_t> recent;
-    std::deque<std::uint64_t> recent_order;
     /// Token-bucket window (one second, client_rate_limit tokens).
     SimTime window_start = 0;
     std::uint32_t window_used = 0;
+    /// How many of this client's submissions were admitted. The ring
+    /// holds the last min(admitted, client_dedup_window) of their ids; the
+    /// next one goes to slot admitted % client_dedup_window.
+    std::uint64_t admitted = 0;
   };
 
   mempool::Mempool& pool_;
   DissemConfig config_;
   Stats stats_;
-  std::unordered_map<std::uint64_t, ClientState> clients_;
+  /// Indexed by client (the ClientSwarm index).
+  std::vector<ClientState> clients_;
+  /// clients_.size() rings of client_dedup_window ids, back to back.
+  std::vector<std::uint64_t> recent_;
 };
 
 /// The simulated submitter population behind one replica's frontend.

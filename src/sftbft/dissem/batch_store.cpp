@@ -71,10 +71,10 @@ void BatchStore::requeue(const types::Payload& payload) {
   }
 }
 
-std::vector<types::Transaction> BatchStore::resolve_committed(
+BatchStore::Resolved BatchStore::resolve_committed(
     const types::Payload& payload,
     std::vector<crypto::Sha256Digest>& missing_out) {
-  std::vector<types::Transaction> txns;
+  Resolved out;
   for (const crypto::Sha256Digest& digest : payload.batch_digests) {
     const auto it = entries_.find(digest);
     if (it == entries_.end()) {
@@ -85,9 +85,13 @@ std::vector<types::Transaction> BatchStore::resolve_committed(
     if (entry.status == Status::kCommitted) continue;  // fork duplicate
     entry.status = Status::kCommitted;
     ++committed_batches_;
-    txns.insert(txns.end(), entry.batch.txns.begin(), entry.batch.txns.end());
+    const std::vector<types::Transaction>& txns = entry.batch.txns;
+    out.txns.insert(out.txns.end(), txns.begin(), txns.end());
+    if (entry.batch.creator == owner_) {
+      out.own.txns.insert(out.own.txns.end(), txns.begin(), txns.end());
+    }
   }
-  return txns;
+  return out;
 }
 
 std::size_t BatchStore::proposable() const {

@@ -13,6 +13,12 @@
 // forks are harmless: commit-time resolution dedups by digest, so a batch's
 // transactions count exactly once no matter how many competing blocks named
 // it.
+//
+// A transaction enters exactly one replica's mempool (its creator's clients
+// submit it there) and leaves that mempool in exactly one batch, which that
+// replica packs. So at commit only the owner's batches carry transactions
+// its mempool knows; resolve_committed hands those back separately, and no
+// other replica's mempool ever hears about them.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +36,10 @@ namespace sftbft::dissem {
 class BatchStore {
  public:
   enum class Status : std::uint8_t { kAvailable, kProposed, kCommitted };
+
+  /// `owner` is the replica whose data plane this store serves: batches
+  /// whose creator is `owner` are the ones it packed from its own mempool.
+  explicit BatchStore(ReplicaId owner) : owner_(owner) {}
 
   /// Adds a validated batch. Returns true if new. A batch whose digest was
   /// already committed (data arrived after the ordering did — the pull
@@ -63,6 +73,15 @@ class BatchStore {
   /// timed out before certification).
   void requeue(const types::Payload& payload);
 
+  /// What one commit-time resolution yields.
+  struct Resolved {
+    /// Every newly committed transaction, in payload order (the ledger's).
+    std::vector<types::Transaction> txns;
+    /// The transactions of those batches whose creator is the owner: the
+    /// only ones that ever sat in the owner's mempool.
+    types::Payload own;
+  };
+
   /// Commit-time resolution: returns the referenced transactions in order,
   /// skipping batches already committed (exactly-once counting across
   /// forks) and marking the rest Committed. Digests with no local batch
@@ -70,7 +89,7 @@ class BatchStore {
   /// guarantees 2f + 1 voters held the data) are appended to `missing_out`
   /// and remembered, so the batch is filed straight as Committed when the
   /// pull completes.
-  [[nodiscard]] std::vector<types::Transaction> resolve_committed(
+  [[nodiscard]] Resolved resolve_committed(
       const types::Payload& payload,
       std::vector<crypto::Sha256Digest>& missing_out);
 
@@ -87,6 +106,7 @@ class BatchStore {
     SimTime proposed_at = 0;
   };
 
+  ReplicaId owner_;
   std::unordered_map<crypto::Sha256Digest, Entry> entries_;
   /// Proposable scan order (arrival order; lazily pruned).
   std::deque<crypto::Sha256Digest> order_;

@@ -80,7 +80,7 @@ ReplicaHost::ReplicaHost(const DeploymentConfig& config, ReplicaId id,
   }
 
   if (dissem_.enabled) {
-    batches_ = std::make_unique<dissem::BatchStore>();
+    batches_ = std::make_unique<dissem::BatchStore>(id_);
     broadcaster_ = std::make_unique<dissem::BatchBroadcaster>(
         id_, transport_, pool_, *batches_, dissem_,
         [this] {
@@ -486,7 +486,7 @@ void ReplicaHost::restart() {
   pool_ = mempool::Mempool();
   if (dissem_.enabled) {
     pool_.set_capacity(dissem_.mempool_capacity);
-    *batches_ = dissem::BatchStore();
+    *batches_ = dissem::BatchStore(id_);
     broadcaster_->reset();
     swarm_->start();
     broadcaster_->start();

@@ -36,9 +36,12 @@ types::Payload Mempool::make_batch(std::size_t max_txns) {
 
 void Mempool::mark_committed(const types::Payload& payload) {
   for (const types::Transaction& txn : payload.txns) {
-    in_flight_.erase(txn.id);
-    known_.erase(txn.id);
-    remember_committed(txn.id);
+    // An id this pool never admitted costs these two lookups and nothing
+    // else. An id only in flight is a requeued transaction that committed
+    // once already and was batched again; it is remembered like any other.
+    const bool queued = known_.erase(txn.id) > 0;
+    const bool flying = in_flight_.erase(txn.id) > 0;
+    if (queued || flying) remember_committed(txn.id);
   }
 }
 

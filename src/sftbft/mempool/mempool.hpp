@@ -28,8 +28,11 @@ class Mempool {
   };
 
   /// Admits a transaction. Duplicates (by id, across the pending queue,
-  /// in-flight batches, and a bounded window of recent commits) and
-  /// over-capacity submissions are rejected, never silently double-queued.
+  /// in-flight batches, and a bounded window of recent commits of ids this
+  /// pool admitted) and over-capacity submissions are rejected, never
+  /// silently double-queued. Only the owning replica's clients (its
+  /// WorkloadGenerator or AdmissionFrontend, id space `replica << 40`)
+  /// submit here, so no other replica's transaction ever enters this pool.
   Admit submit(types::Transaction txn);
 
   /// Bounds the pending queue (0 = unbounded, the default). When full,
@@ -41,7 +44,10 @@ class Mempool {
   /// in flight (already proposed but not committed) are not re-proposed.
   [[nodiscard]] types::Payload make_batch(std::size_t max_txns);
 
-  /// Marks a batch as committed (drops in-flight bookkeeping).
+  /// Marks a batch as committed: drops the pending/in-flight bookkeeping of
+  /// the ids this pool admitted and remembers them in the committed window.
+  /// Ids it never admitted (other replicas' transactions in an inline
+  /// block) are skipped after two lookups.
   void mark_committed(const types::Payload& payload);
 
   /// Returns a batch's transactions to the pending queue (leader's block
@@ -51,13 +57,15 @@ class Mempool {
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
 
- private:
-  void remember_committed(std::uint64_t id);
-
   /// How many committed ids the dedup window remembers (FIFO eviction):
   /// enough to cover every in-flight client retry horizon in the sims
-  /// without growing with ledger length.
+  /// without growing with ledger length. The window holds only ids this
+  /// pool admitted, the only ids `submit` can receive, so foreign commits
+  /// never evict them.
   static constexpr std::size_t kCommittedMemory = 1 << 14;
+
+ private:
+  void remember_committed(std::uint64_t id);
 
   std::deque<types::Transaction> queue_;
   std::unordered_set<std::uint64_t> in_flight_;

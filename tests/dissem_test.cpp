@@ -7,6 +7,7 @@
 // transactions with proposal frames a fraction of the inline-mode size.
 #include <gtest/gtest.h>
 
+#include "sftbft/core/committer.hpp"
 #include "sftbft/dissem/admission.hpp"
 #include "sftbft/dissem/batch.hpp"
 #include "sftbft/dissem/batch_store.hpp"
@@ -65,7 +66,7 @@ TEST(Batch, RoundTripsThroughCanonicalCodec) {
 // ------------------------------------------------------------- BatchStore
 
 TEST(BatchStore, ProposableStateMachine) {
-  BatchStore store;
+  BatchStore store(0);
   const Batch a = make_batch(0, 0, {1});
   const Batch b = make_batch(0, 1, {2});
   EXPECT_TRUE(store.add(a));
@@ -96,7 +97,7 @@ TEST(BatchStore, ProposableStateMachine) {
 TEST(BatchStore, ObserveReferenceParksBatchesProposed) {
   // Seeing another leader's proposal reference a batch must stop this
   // replica from re-proposing it while that proposal is in flight.
-  BatchStore store;
+  BatchStore store(0);
   const Batch a = make_batch(1, 0, {5});
   store.add(a);
   store.observe_reference(types::Payload::referencing({a.digest}), 0);
@@ -104,9 +105,9 @@ TEST(BatchStore, ObserveReferenceParksBatchesProposed) {
 }
 
 TEST(BatchStore, CommitResolutionDedupsAcrossForks) {
-  BatchStore store;
+  BatchStore store(0);
   const Batch a = make_batch(0, 0, {1, 2});
-  const Batch b = make_batch(0, 1, {3});
+  const Batch b = make_batch(1, 0, {3});
   store.add(a);
   store.add(b);
 
@@ -114,11 +115,14 @@ TEST(BatchStore, CommitResolutionDedupsAcrossForks) {
   std::vector<crypto::Sha256Digest> missing;
   const auto first = store.resolve_committed(
       types::Payload::referencing({a.digest, b.digest}), missing);
-  EXPECT_EQ(first.size(), 3u);
+  EXPECT_EQ(first.txns.size(), 3u);
+  // Only the owner's batch is handed back for its mempool.
+  ASSERT_EQ(first.own.txns.size(), 2u);
+  EXPECT_EQ(first.own.txns[0].id, 1u);
   EXPECT_TRUE(missing.empty());
   const auto second = store.resolve_committed(
       types::Payload::referencing({a.digest}), missing);
-  EXPECT_TRUE(second.empty());
+  EXPECT_TRUE(second.txns.empty());
   EXPECT_EQ(store.committed_batches(), 2u);
 }
 
@@ -126,12 +130,12 @@ TEST(BatchStore, LateBatchForCommittedDigestFilesAsCommitted) {
   // Block-sync path: the ordering can commit a digest before the bytes
   // arrive. The resolution reports it missing; when the pull completes, the
   // batch must go straight to Committed (never re-proposed).
-  BatchStore store;
+  BatchStore store(0);
   const Batch late = make_batch(2, 9, {42});
   std::vector<crypto::Sha256Digest> missing;
-  const auto txns = store.resolve_committed(
+  const auto resolved = store.resolve_committed(
       types::Payload::referencing({late.digest}), missing);
-  EXPECT_TRUE(txns.empty());
+  EXPECT_TRUE(resolved.txns.empty());
   ASSERT_EQ(missing.size(), 1u);
   EXPECT_EQ(missing[0], late.digest);
 
@@ -143,8 +147,49 @@ TEST(BatchStore, LateBatchForCommittedDigestFilesAsCommitted) {
   EXPECT_TRUE(store
                   .resolve_committed(
                       types::Payload::referencing({late.digest}), missing2)
-                  .empty());
+                  .txns.empty());
   EXPECT_TRUE(missing2.empty());
+}
+
+TEST(Committer, OnlyOwnBatchesReachTheMempool) {
+  // Replica 1 commits a block naming replica 2's batch and its own. The
+  // ledger counts both; the mempool hears only about its own batch.
+  constexpr std::uint64_t kOwn = std::uint64_t{1} << 40;
+  constexpr std::uint64_t kForeign = std::uint64_t{2} << 40;
+  sim::Scheduler sched;
+  chain::BlockTree tree;
+  chain::Ledger ledger;
+  mempool::Mempool pool;
+  BatchStore store(1);
+  core::Committer committer(tree, ledger, pool, sched);
+  committer.set_batch_store(&store, {});
+
+  for (std::uint64_t i = 0; i < 3; ++i) pool.submit(txn(kOwn | i));
+  Batch own;
+  own.creator = 1;
+  own.txns = pool.make_batch(3).txns;
+  own.seal();
+  const Batch foreign = make_batch(2, 0, {kForeign, kForeign | 1});
+  store.add(foreign);
+  store.add(own);
+  ASSERT_EQ(pool.in_flight(), 3u);
+
+  types::Block block;
+  block.parent_id = tree.genesis_id();
+  block.round = 1;
+  block.height = 1;
+  block.proposer = 0;
+  block.payload = types::Payload::referencing({foreign.digest, own.digest});
+  block.seal();
+  ASSERT_EQ(tree.insert(block), chain::BlockTree::InsertResult::Inserted);
+  committer.commit_chain(block, 1);
+
+  EXPECT_EQ(pool.in_flight(), 0u);
+  EXPECT_EQ(ledger.committed_txns(), 5u);
+  EXPECT_EQ(ledger.at(1).txn_count, 5u);
+  // Own ids are in the committed window; foreign ones never reached it.
+  EXPECT_EQ(pool.submit(txn(kOwn)), mempool::Mempool::Admit::kDuplicate);
+  EXPECT_EQ(pool.submit(txn(kForeign)), mempool::Mempool::Admit::kAccepted);
 }
 
 TEST(CheckedPush, VerdictNeverSurvivesCopyOrAssignment) {
@@ -179,7 +224,7 @@ TEST(CheckedPush, VerdictNeverSurvivesCopyOrAssignment) {
 
 struct Plane {
   mempool::Mempool pool;
-  BatchStore store;
+  BatchStore store{kNoReplica};
   std::unique_ptr<BatchBroadcaster> broadcaster;
   std::uint32_t arrivals = 0;
   /// Per delivered kBatchPush: which checked-push record it resolved to
@@ -193,6 +238,7 @@ struct Plane {
   void wire(ReplicaId id, net::SimTransport& transport, DissemConfig config,
             BatchBroadcaster::Options options = {.silent = false,
                                                  .withhold_push = false}) {
+    store = BatchStore(id);
     broadcaster = std::make_unique<BatchBroadcaster>(
         id, transport, pool, store, config, [this] { ++arrivals; }, options);
     transport.set_handler(id, [this](const net::Envelope& env, std::size_t) {
@@ -324,6 +370,50 @@ TEST(AdmissionFrontend, DedupsRetriesPerClient) {
             AdmissionFrontend::Outcome::kDuplicate);
   EXPECT_EQ(pool.pending(), 1u);
   EXPECT_EQ(frontend.stats().duplicates, 1u);
+}
+
+TEST(AdmissionFrontend, DedupWindowIsARingOfTheLastAdmits) {
+  mempool::Mempool pool;
+  DissemConfig config;
+  config.client_dedup_window = 4;
+  AdmissionFrontend frontend(pool, config);
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    ASSERT_EQ(frontend.submit(1, txn(id), 0),
+              AdmissionFrontend::Outcome::kAdmitted);
+  }
+  // A fresh pool (as after a restart) leaves only the client window to
+  // catch a retry: id 1 fell out of it, id 2 is still in it.
+  pool = mempool::Mempool();
+  EXPECT_EQ(frontend.submit(1, txn(2), 0),
+            AdmissionFrontend::Outcome::kDuplicate);
+  EXPECT_EQ(frontend.submit(1, txn(1), 0),
+            AdmissionFrontend::Outcome::kAdmitted);
+  EXPECT_EQ(frontend.stats().duplicates, 1u);
+}
+
+TEST(AdmissionFrontend, ZeroDedupWindowRemembersNothing) {
+  mempool::Mempool pool;
+  DissemConfig config;
+  config.client_dedup_window = 0;
+  AdmissionFrontend frontend(pool, config);
+  EXPECT_EQ(frontend.submit(1, txn(10), 0),
+            AdmissionFrontend::Outcome::kAdmitted);
+  pool = mempool::Mempool();
+  EXPECT_EQ(frontend.submit(1, txn(10), 0),
+            AdmissionFrontend::Outcome::kAdmitted);
+  EXPECT_EQ(frontend.stats().duplicates, 0u);
+}
+
+TEST(AdmissionFrontend, UnknownClientThrows) {
+  mempool::Mempool pool;
+  DissemConfig config;
+  config.clients = 4;
+  AdmissionFrontend frontend(pool, config);
+  EXPECT_THROW((void)frontend.submit(4, txn(1), 0), std::out_of_range);
+  EXPECT_EQ(frontend.submit(3, txn(1), 0),
+            AdmissionFrontend::Outcome::kAdmitted);
+  EXPECT_EQ(frontend.stats().admitted, 1u);
+  EXPECT_EQ(pool.pending(), 1u);
 }
 
 TEST(AdmissionFrontend, RateLimitsPerClientPerSecond) {

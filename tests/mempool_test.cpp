@@ -80,6 +80,52 @@ TEST(Mempool, RequeuedTxnStaysDeduped) {
   EXPECT_EQ(pool.pending(), 1u);
 }
 
+TEST(Mempool, ForeignCommitLeavesPoolUntouched) {
+  // Another replica's transaction, committed in an inline block: it was
+  // never admitted here, so it touches neither the queue, the in-flight
+  // set nor the committed window.
+  Mempool pool;
+  for (std::uint64_t i = 0; i < 3; ++i) pool.submit(txn(i));
+  (void)pool.make_batch(1);
+  types::Payload foreign;
+  foreign.txns.push_back(txn(std::uint64_t{2} << 40));
+  pool.mark_committed(foreign);
+  EXPECT_EQ(pool.pending(), 2u);
+  EXPECT_EQ(pool.in_flight(), 1u);
+  EXPECT_EQ(pool.submit(txn(std::uint64_t{2} << 40)),
+            Mempool::Admit::kAccepted);
+}
+
+TEST(Mempool, RequeuedTxnThatCommitsStaysDuplicate) {
+  Mempool pool;
+  pool.submit(txn(3));
+  const types::Payload batch = pool.make_batch(1);
+  pool.requeue(batch);
+  pool.mark_committed(batch);  // a late QC commits the abandoned block
+  EXPECT_EQ(pool.submit(txn(3)), Mempool::Admit::kDuplicate);
+  // The id is still queued, so it is batched again; when that batch
+  // commits the id is only in flight, and it is still remembered.
+  ASSERT_EQ(pool.make_batch(1).txns.size(), 1u);
+  pool.mark_committed(batch);
+  EXPECT_EQ(pool.in_flight(), 0u);
+  EXPECT_EQ(pool.submit(txn(3)), Mempool::Admit::kDuplicate);
+}
+
+TEST(Mempool, CommittedWindowCountsOnlyAdmittedIds) {
+  // kCommittedMemory + 1 own commits, each followed by a foreign one: only
+  // own ids count toward the window, so exactly the first is evicted.
+  Mempool pool;
+  for (std::uint64_t i = 0; i <= Mempool::kCommittedMemory; ++i) {
+    ASSERT_EQ(pool.submit(txn(i)), Mempool::Admit::kAccepted);
+    pool.mark_committed(pool.make_batch(1));
+    types::Payload foreign;
+    foreign.txns.push_back(txn((std::uint64_t{1} << 40) | i));
+    pool.mark_committed(foreign);
+  }
+  EXPECT_EQ(pool.submit(txn(1)), Mempool::Admit::kDuplicate);
+  EXPECT_EQ(pool.submit(txn(0)), Mempool::Admit::kAccepted);
+}
+
 TEST(Mempool, BoundedCapacityBackpressure) {
   Mempool pool;
   pool.set_capacity(3);
