@@ -6,7 +6,8 @@
 namespace sftbft::chain {
 
 Ledger::CommitResult Ledger::commit(const types::Block& block,
-                                    std::uint32_t strength, SimTime now) {
+                                    std::uint32_t strength, SimTime now,
+                                    std::uint64_t txn_count) {
   if (block.height == 0) return CommitResult::NoChange;  // genesis implicit
   if (entries_.size() <= block.height) entries_.resize(block.height + 1);
 
@@ -19,9 +20,9 @@ Ledger::CommitResult Ledger::commit(const types::Block& block,
                  .created_at = block.created_at,
                  .first_committed_at = now,
                  .last_strength_update_at = now,
-                 .txn_count = block.payload.txns.size()};
+                 .txn_count = txn_count};
     ++committed_count_;
-    committed_txns_ += block.payload.txns.size();
+    committed_txns_ += txn_count;
     return CommitResult::New;
   }
   if (slot->block_id != block.id) {

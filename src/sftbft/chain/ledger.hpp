@@ -5,7 +5,8 @@
 // x-strong committed stays x-strong; later strong-QCs can raise it toward
 // 2f). The ledger refuses conflicting commits at one height — inside a
 // single honest replica that would be a protocol bug, and the tests lean on
-// this check.
+// this check. It never reads a payload: the caller supplies each block's
+// transaction count, so digest payloads commit without copying a txn.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +53,11 @@ class Ledger {
   };
 
   /// Records that `block` is committed with tolerance `strength` at `now`.
+  /// `txn_count` (see core::Payloads::commit) is read on the first commit.
   /// Re-commits with higher strength ratchet the level; lower are no-ops.
   /// Throws LedgerConflict on a different block at an occupied height.
   CommitResult commit(const types::Block& block, std::uint32_t strength,
-                      SimTime now);
+                      SimTime now, std::uint64_t txn_count);
 
   [[nodiscard]] bool is_committed(Height height) const {
     return height < entries_.size() && entries_[height].has_value();

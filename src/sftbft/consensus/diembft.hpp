@@ -25,10 +25,6 @@ using core::SafetyRules;
 using core::StrengthUpdate;
 using core::VoteHistory;
 
-/// The single strength-accounting implementation lives in core; DiemBFT's
-/// historical name for it remains for callers.
-using EndorsementTracker = core::StrengthTracker;
-
 /// DiemBFT's rule set: the kernel defaults (null slots select the Fig. 2
 /// rules implemented in core::ChainedCore).
 [[nodiscard]] core::ChainedRules diembft_rules();

@@ -21,14 +21,14 @@ using types::VoteMode;
 
 ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
                          std::shared_ptr<const crypto::KeyRegistry> registry,
-                         mempool::Mempool& pool, Hooks hooks,
+                         Payloads& payloads, Hooks hooks,
                          storage::ReplicaStore* store)
     : config_(config),
       sched_(sched),
       registry_(std::move(registry)),
       cache_(config.observer, config.id),
       signer_(registry_->signer_for(config.id)),
-      pool_(pool),
+      payloads_(payloads),
       hooks_(std::move(hooks)),
       election_(config.n),
       tree_(),
@@ -42,7 +42,8 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
           Pacemaker::Callbacks{
               .on_round_entered = [this](Round r) { on_round_entered(r); },
               .on_local_timeout = [this](Round r) { on_local_timeout(r); }}),
-      committer_(tree_, ledger_, pool, sched),
+      committer_(tree_, ledger_, payloads, sched, config.observer, config.id,
+                 config.f()),
       sync_(SyncClient::Config{.id = config.id,
                                .n = config.n,
                                .retry_after = config.base_timeout,
@@ -74,26 +75,7 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
             }),
       store_(store) {
   committer_.set_store(store_);
-  committer_.set_on_commit([this](const Block& block, std::uint32_t strength,
-                                  SimTime now) {
-    if (obs::Observer* obs = config_.observer) {
-      const SimDuration latency = now - block.created_at;
-      if (strength <= config_.f()) {
-        obs->count(config_.id, obs::Counter::kCommits);
-        obs->observe(config_.id, obs::Hist::kCommitLatencyUs, latency);
-      } else {
-        obs->count(config_.id, obs::Counter::kStrongCommits);
-        obs->observe(config_.id, obs::Hist::kStrongCommitLatencyUs, latency);
-      }
-      if (obs->recording()) {
-        obs->emit(obs::span_event(
-            "block", strength <= config_.f() ? "committed" : "strong_commit",
-            config_.id, block.height, block.created_at, now,
-            {"round", block.round}, {"strength", strength}));
-      }
-    }
-    if (hooks_.on_commit) hooks_.on_commit(block, strength, now);
-  });
+  committer_.set_on_commit(hooks_.on_commit);
   committer_.set_snapshot_hook([this] { maybe_snapshot(); });
 
   // Seed qc_high with the genesis QC so round-1 proposals extend genesis.
@@ -232,11 +214,8 @@ void ChainedCore::on_sync_response(const types::SyncResponse& resp) {
     }
     // Synced blocks are already certified — no vote gate, but their digest
     // payloads may reference batches that never reached this replica (it was
-    // down during dissemination). Kick the pull protocol so the ledger's
-    // transaction materialization completes.
-    if (hooks_.fetch_payload && block.payload.is_digests()) {
-      hooks_.fetch_payload(block.payload);
-    }
+    // down during dissemination). Kick the pull protocol for them.
+    payloads_.fetch(block.payload);
     // Chain-embedded QCs are canonical: peers processed them through their
     // strength trackers when the blocks first arrived, so replaying them
     // here keeps endorser sets consistent across replicas (Sec. 5).
@@ -308,8 +287,7 @@ void ChainedCore::propose(Round round) {
   block.height = parent->height + 1;
   block.proposer = config_.id;
   block.qc = high_qc;
-  block.payload = hooks_.make_payload ? hooks_.make_payload(config_.max_batch)
-                                      : pool_.make_batch(config_.max_batch);
+  block.payload = payloads_.make(config_.max_batch, sched_.now());
   block.log_digest = types::commit_log_digest(commit_log);
   block.created_at = sched_.now();
   block.seal();
@@ -334,7 +312,7 @@ void ChainedCore::propose(Round round) {
       // right after draining this block's batch.
       obs->emit_trace_only(obs::counter_event(
           "mempool", "mempool_depth", config_.id, sched_.now(),
-          {"pending", static_cast<std::uint64_t>(pool_.pending())}));
+          {"pending", static_cast<std::uint64_t>(payloads_.pending())}));
     }
   }
   hooks_.broadcast_proposal(proposal);
@@ -437,9 +415,9 @@ void ChainedCore::on_proposal(const Proposal& proposal) {
   // replicas can materialize the payload at commit time. The control plane
   // above (tree insert, QC observation, round sync) proceeded normally;
   // only this replica's vote waits for the data plane.
-  if (hooks_.payload_available && !hooks_.payload_available(block.payload)) {
+  if (!payloads_.available(block.payload, sched_.now())) {
     awaiting_batches_.emplace(block.id, block);
-    if (hooks_.fetch_payload) hooks_.fetch_payload(block.payload);
+    payloads_.fetch(block.payload);
   } else {
     maybe_vote(block);
   }
@@ -453,8 +431,7 @@ void ChainedCore::retry_awaiting_payloads() {
   for (auto it = awaiting_batches_.begin(); it != awaiting_batches_.end();) {
     if (it->second.round < pacemaker_.current_round()) {
       it = awaiting_batches_.erase(it);  // stale — no longer votable
-    } else if (!hooks_.payload_available ||
-               hooks_.payload_available(it->second.payload)) {
+    } else if (payloads_.available(it->second.payload, sched_.now())) {
       ready.push_back(it->second);
       it = awaiting_batches_.erase(it);
     } else {
@@ -736,11 +713,7 @@ void ChainedCore::on_local_timeout(Round round) {
   // vote in a round this replica already timed out of.
   persist_vote(nullptr, round);
   if (last_proposed_payload_ && last_proposed_payload_->first == round) {
-    if (hooks_.requeue_payload) {
-      hooks_.requeue_payload(last_proposed_payload_->second);
-    } else {
-      pool_.requeue(last_proposed_payload_->second);
-    }
+    payloads_.requeue(last_proposed_payload_->second);
     last_proposed_payload_.reset();
   }
   TimeoutMsg msg;

@@ -5,8 +5,9 @@
 // plus the SFT machinery the paper layers on generically: strong-votes
 // against a single VoteHistory, strength accounting (StrengthTracker),
 // Sec.-5 commit-Log sealing, commit-chain walks (Committer), block sync
-// (SyncClient), and the audit tap. Concrete protocols are thin rule sets
-// over this kernel:
+// (SyncClient), and the audit tap. Block payloads come from and return to
+// core::Payloads, which alone knows whether they travel inline or as batch
+// digests. Concrete protocols are thin rule sets over this kernel:
 //
 //   * DiemBFT (consensus::diembft_rules — the kernel default): Fig. 2
 //     voting rule, parent.round >= r_lock;
@@ -45,12 +46,12 @@
 #include "sftbft/consensus/pacemaker.hpp"
 #include "sftbft/core/block_sync.hpp"
 #include "sftbft/core/committer.hpp"
+#include "sftbft/core/payloads.hpp"
 #include "sftbft/core/safety.hpp"
 #include "sftbft/core/strength.hpp"
 #include "sftbft/core/vote_history.hpp"
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
-#include "sftbft/mempool/mempool.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
 #include "sftbft/types/proposal.hpp"
@@ -167,28 +168,15 @@ class ChainedCore {
     /// auditing. May be empty.
     std::function<void(const types::Block&, const types::QuorumCert&)>
         on_canonical_qc;
-    /// --- dissemination (all four may be empty = inline payloads) ---
-    /// Leader-side payload source: return a digest-referencing Payload built
-    /// from the local BatchStore instead of pool_.make_batch.
-    std::function<types::Payload(std::size_t max_batch)> make_payload;
-    /// Round timed out before certification: return the payload's batches to
-    /// the proposable set (the inline path uses pool_.requeue instead).
-    std::function<void(const types::Payload&)> requeue_payload;
-    /// Vote-availability gate: do all batches a payload references exist
-    /// locally? (Implementations also mark them Proposed.) Blocks whose
-    /// payload is unavailable are parked, not voted — the SFT guarantee that
-    /// 2f+1 voters hold the data by commit time rests on this check.
-    std::function<bool(const types::Payload&)> payload_available;
-    /// Kick the pull protocol for a payload's missing batches.
-    std::function<void(const types::Payload&)> fetch_payload;
   };
 
   /// `store` (optional) enables durability: the safety envelope is WAL'd as
   /// it changes and the ledger snapshotted on the store's cadence, making
-  /// the core restorable via restore() after a crash.
+  /// the core restorable via restore() after a crash. `payloads` must
+  /// outlive the core.
   ChainedCore(CoreConfig config, sim::Scheduler& sched,
               std::shared_ptr<const crypto::KeyRegistry> registry,
-              mempool::Mempool& pool, Hooks hooks,
+              Payloads& payloads, Hooks hooks,
               storage::ReplicaStore* store = nullptr);
 
   /// Enters round 1 (the round-1 leader proposes off genesis).
@@ -208,15 +196,6 @@ class ChainedCore {
   /// Asks a small rotating window of peers for blocks above the local tree
   /// root, retrying on the SyncClient's watchdog until caught up.
   void request_sync();
-
-  /// Dissemination mode: wires the committer to resolve digest payloads
-  /// against `batches` before ledger appends; `pull` fetches batches that
-  /// sync brought in certified but undisseminated.
-  void attach_batch_store(
-      dissem::BatchStore* batches,
-      std::function<void(const std::vector<crypto::Sha256Digest>&)> pull) {
-    committer_.set_batch_store(batches, std::move(pull));
-  }
 
   /// Re-runs the vote path for proposals parked on missing batches (call
   /// when new batches arrive). Entries that fell behind the current round
@@ -306,7 +285,7 @@ class ChainedCore {
   /// lookups happen on const validation paths and never change semantics).
   mutable crypto::VerifyCache cache_;
   crypto::Signer signer_;
-  mempool::Mempool& pool_;
+  Payloads& payloads_;
   Hooks hooks_;
 
   consensus::LeaderElection election_;
@@ -374,7 +353,7 @@ class ChainedCore {
   std::unordered_map<types::BlockId, types::Proposal> logged_proposals_;
 
   // The payload of the block this replica last proposed but that never got
-  // certified (returned to the mempool on timeout).
+  // certified (requeued on timeout).
   std::optional<std::pair<Round, types::Payload>> last_proposed_payload_;
 
   /// Blocks whose certification was already counted/traced — observe_qc

@@ -1,9 +1,8 @@
 // Strength (endorsement) accounting — the SFT kernel's single bookkeeping
 // for "how many replicas k-endorse this block" (paper Fig. 4 / Fig. 5 for
 // the chained-QC protocols, Fig. 11 for the lock-step height-marker
-// variant). This one class subsumes what used to be three copies of the
-// same idea: consensus::EndorsementTracker (DiemBFT), StreamletCore's
-// mirrored min-marker triples, and the SafetyAuditor's ground-truth mirror.
+// variant). It is the only copy: the chained cores, StreamletCore and the
+// SafetyAuditor's ground-truth mirror all count with this class.
 //
 // The unifying representation: per (block, voter) the tracker keeps the
 // most permissive scalar *marker* any of the voter's strong-votes implies,

@@ -86,7 +86,7 @@ BatchStore::Resolved BatchStore::resolve_committed(
     entry.status = Status::kCommitted;
     ++committed_batches_;
     const std::vector<types::Transaction>& txns = entry.batch.txns;
-    out.txns.insert(out.txns.end(), txns.begin(), txns.end());
+    out.txn_count += txns.size();
     if (entry.batch.creator == owner_) {
       out.own.txns.insert(out.own.txns.end(), txns.begin(), txns.end());
     }

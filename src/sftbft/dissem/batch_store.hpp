@@ -17,8 +17,10 @@
 // A transaction enters exactly one replica's mempool (its creator's clients
 // submit it there) and leaves that mempool in exactly one batch, which that
 // replica packs. So at commit only the owner's batches carry transactions
-// its mempool knows; resolve_committed hands those back separately, and no
-// other replica's mempool ever hears about them.
+// its mempool knows: resolve_committed gives the ledger a transaction count
+// (no copies) and hands back only the owner's transactions, and no other
+// replica's mempool ever hears about them. core::Payloads is the store's
+// one consensus-side user (make, gate, requeue, commit).
 #pragma once
 
 #include <cstdint>
@@ -75,17 +77,17 @@ class BatchStore {
 
   /// What one commit-time resolution yields.
   struct Resolved {
-    /// Every newly committed transaction, in payload order (the ledger's).
-    std::vector<types::Transaction> txns;
+    /// Transactions in the newly committed batches (the ledger's count).
+    std::uint64_t txn_count = 0;
     /// The transactions of those batches whose creator is the owner: the
     /// only ones that ever sat in the owner's mempool.
     types::Payload own;
   };
 
-  /// Commit-time resolution: returns the referenced transactions in order,
-  /// skipping batches already committed (exactly-once counting across
-  /// forks) and marking the rest Committed. Digests with no local batch
-  /// (possible only on the block-sync path — the vote-availability gate
+  /// Commit-time resolution: counts the referenced transactions, skipping
+  /// batches already committed (exactly-once counting across forks) and
+  /// marking the rest Committed. Digests with no local batch (possible
+  /// only on the block-sync path — the vote-availability gate
   /// guarantees 2f + 1 voters held the data) are appended to `missing_out`
   /// and remembered, so the batch is filed straight as Committed when the
   /// pull completes.

@@ -95,6 +95,14 @@ ReplicaHost::ReplicaHost(const DeploymentConfig& config, ReplicaId id,
         transport.scheduler(), *frontend_, config.workload, dissem_,
         workload_rng.fork());
     swarm_->set_id_space(id_);
+    // Runs honestly on Byzantine replicas too: the kernel keeps the
+    // corrupted replica synced, which is what lets its attacks land.
+    payloads_.emplace(pool_, *batches_, dissem_,
+                      [this](const std::vector<crypto::Sha256Digest>& missing) {
+                        broadcaster_->want(missing);
+                      });
+  } else {
+    payloads_.emplace(pool_);
   }
 
   // The replica runs the real kernel under the real protocol rules, whatever
@@ -107,64 +115,22 @@ ReplicaHost::ReplicaHost(const DeploymentConfig& config, ReplicaId id,
     cfg.observer = obs;
     cfg.rules = chained_rules_for(protocol_);
     core_ = std::make_unique<core::ChainedCore>(
-        cfg, sched, std::move(registry), pool_, chained_hooks(taps), store_);
+        cfg, sched, std::move(registry), *payloads_, chained_hooks(taps),
+        store_);
   } else {
     streamlet::StreamletConfig cfg = config.streamlet;
     cfg.id = id_;
     cfg.n = config.n;
     cfg.observer = obs;
     core_ = std::make_unique<StreamletCore>(cfg, sched, std::move(registry),
-                                            pool_, streamlet_hooks(taps),
+                                            *payloads_, streamlet_hooks(taps),
                                             store_);
-  }
-  if (dissem_.enabled) {
-    std::visit(
-        [this](auto& core) {
-          core->attach_batch_store(
-              batches_.get(),
-              [this](const std::vector<crypto::Sha256Digest>& missing) {
-                broadcaster_->want(missing);
-              });
-        },
-        core_);
   }
 }
 
 ReplicaHost::~ReplicaHost() = default;
 
 // ------------------------------------------------------------ core hooks
-
-template <typename Hooks>
-void ReplicaHost::wire_shared_hooks(Hooks& hooks) {
-  if (on_commit_) {
-    hooks.on_commit = [this](const types::Block& block,
-                             std::uint32_t strength, SimTime now) {
-      on_commit_(id_, block, strength, now);
-    };
-  }
-  if (!dissem_.enabled) return;
-  // Control plane <-> data plane seams. Leaders draw digest payloads from
-  // the batch store; voters gate on availability and pull what is missing.
-  // They run honestly on Byzantine replicas too: the kernel keeps the
-  // corrupted replica synced, which is what lets its attacks land.
-  hooks.make_payload = [this](std::size_t /*max_batch*/) {
-    return batches_->make_payload(dissem_.max_batches_per_proposal,
-                                  transport_.scheduler().now(),
-                                  dissem_.repropose_after);
-  };
-  hooks.payload_available = [this](const types::Payload& payload) {
-    if (!payload.is_digests()) return true;
-    // Present batches go Proposed either way — another leader claimed
-    // them; re-proposing them here would only waste block space.
-    batches_->observe_reference(payload, transport_.scheduler().now());
-    return batches_->missing(payload).empty();
-  };
-  hooks.fetch_payload = [this](const types::Payload& payload) {
-    if (!payload.is_digests()) return;
-    const auto missing = batches_->missing(payload);
-    if (!missing.empty()) broadcaster_->want(missing);
-  };
-}
 
 core::ChainedCore::Hooks ReplicaHost::chained_hooks(
     const core::AuditTaps& taps) {
@@ -213,15 +179,10 @@ core::ChainedCore::Hooks ReplicaHost::chained_hooks(
       tap(id_, block, qc);
     };
   }
-  wire_shared_hooks(hooks);
-  if (dissem_.enabled) {
-    // Timed-out references revert to proposable.
-    hooks.requeue_payload = [this](const types::Payload& payload) {
-      if (payload.is_digests()) {
-        batches_->requeue(payload);
-      } else {
-        pool_.requeue(payload);
-      }
+  if (on_commit_) {
+    hooks.on_commit = [this](const types::Block& block,
+                             std::uint32_t strength, SimTime now) {
+      on_commit_(id_, block, strength, now);
     };
   }
   return hooks;
@@ -274,7 +235,12 @@ StreamletCore::Hooks ReplicaHost::streamlet_hooks(
                               vote.voter, vote.marker});
     };
   }
-  wire_shared_hooks(hooks);
+  if (on_commit_) {
+    hooks.on_commit = [this](const types::Block& block,
+                             std::uint32_t strength, SimTime now) {
+      on_commit_(id_, block, strength, now);
+    };
+  }
   return hooks;
 }
 

@@ -8,7 +8,9 @@
 //    accounting;
 //  * the Mempool and the bench WorkloadGenerator;
 //  * the dissemination data plane (BatchStore, BatchBroadcaster,
-//    AdmissionFrontend, ClientSwarm) and its core hooks;
+//    AdmissionFrontend, ClientSwarm);
+//  * the core::Payloads the core draws payloads from — inline from the
+//    Mempool, or by digest from the BatchStore in dissemination mode;
 //  * the Crash and CrashRestart timers, start / stop / restart, and the
 //    call to the deployment's commit observer.
 //
@@ -27,20 +29,22 @@
 //    ledger claims are adversarial: the honest-commit stream is what the
 //    SafetyAuditor audits) and refuses restart().
 //
-// Lifetime rule: the core, the broadcaster and the frontend hold references
-// into the mempool and the batch store, and pending scheduler callbacks
-// hold `this` of the data-plane components. Volatile state is therefore
-// reset by assignment, never re-seated: restart() assigns a fresh Mempool
-// and BatchStore in place and resets the broadcaster in place.
+// Lifetime rule: the payloads, the broadcaster and the frontend hold
+// references into the mempool and the batch store, and pending scheduler
+// callbacks hold `this` of the data-plane components. Volatile state is
+// therefore reset by assignment, never re-seated: restart() assigns a fresh
+// Mempool and BatchStore in place and resets the broadcaster in place.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <variant>
 
 #include "sftbft/adversary/strategy.hpp"
 #include "sftbft/core/audit.hpp"
 #include "sftbft/core/chained_core.hpp"
+#include "sftbft/core/payloads.hpp"
 #include "sftbft/dissem/admission.hpp"
 #include "sftbft/dissem/broadcaster.hpp"
 #include "sftbft/engine/engine.hpp"
@@ -118,8 +122,6 @@ class ReplicaHost {
 
   core::ChainedCore::Hooks chained_hooks(const core::AuditTaps& taps);
   streamlet::StreamletCore::Hooks streamlet_hooks(const core::AuditTaps& taps);
-  template <typename Hooks>
-  void wire_shared_hooks(Hooks& hooks);
 
   void register_handler();
   void arm_fault_timers();
@@ -158,6 +160,8 @@ class ReplicaHost {
   std::unique_ptr<dissem::BatchBroadcaster> broadcaster_;
   std::unique_ptr<dissem::AdmissionFrontend> frontend_;
   std::unique_ptr<dissem::ClientSwarm> swarm_;
+  /// Engaged once in the constructor; the core holds a reference.
+  std::optional<core::Payloads> payloads_;
   /// Null unless fault_.kind == Byzantine.
   std::unique_ptr<Byzantine> byz_;
   std::variant<std::unique_ptr<core::ChainedCore>,

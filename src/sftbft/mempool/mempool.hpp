@@ -97,8 +97,6 @@ class WorkloadGenerator {
   /// Synchronously refills the pool to the target size ("saturated clients").
   void top_up();
 
-  [[nodiscard]] std::uint64_t generated() const { return next_id_; }
-
  private:
   void schedule_next();
 

@@ -18,41 +18,33 @@ TimerId Scheduler::schedule_after(SimDuration delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
-void Scheduler::cancel(TimerId id) {
-  if (id == kInvalidTimer) return;
-  if (callbacks_.erase(id) > 0) {
-    cancelled_.insert(id);
-  }
-}
+void Scheduler::cancel(TimerId id) { callbacks_.erase(id); }
 
-void Scheduler::dispatch(const Event& ev) {
-  now_ = ev.time;
+bool Scheduler::dispatch(const Event& ev) {
   auto it = callbacks_.find(ev.id);
-  assert(it != callbacks_.end());
+  if (it == callbacks_.end()) return false;  // cancelled
+  now_ = ev.time;
   Callback cb = std::move(it->second);
   callbacks_.erase(it);
   ++processed_;
   cb();
+  return true;
 }
 
 bool Scheduler::run_one() {
   while (!heap_.empty()) {
     const Event ev = heap_.top();
     heap_.pop();
-    if (cancelled_.erase(ev.id) > 0) continue;  // skip cancelled
-    dispatch(ev);
-    return true;
+    if (dispatch(ev)) return true;
   }
   return false;
 }
 
 void Scheduler::run_until(SimTime deadline) {
-  stop_requested_ = false;
-  while (!heap_.empty() && !stop_requested_) {
+  while (!heap_.empty()) {
     const Event ev = heap_.top();
     if (ev.time > deadline) break;
     heap_.pop();
-    if (cancelled_.erase(ev.id) > 0) continue;
     dispatch(ev);
   }
   if (now_ < deadline) now_ = deadline;
@@ -61,9 +53,8 @@ void Scheduler::run_until(SimTime deadline) {
 void Scheduler::run_for(SimDuration duration) { run_until(now_ + duration); }
 
 void Scheduler::run_until_idle(std::uint64_t max_events) {
-  stop_requested_ = false;
   std::uint64_t count = 0;
-  while (count < max_events && !stop_requested_ && run_one()) ++count;
+  while (count < max_events && run_one()) ++count;
 }
 
 }  // namespace sftbft::sim

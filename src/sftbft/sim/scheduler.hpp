@@ -12,7 +12,6 @@
 #include <functional>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sftbft/common/types.hpp"
@@ -54,17 +53,11 @@ class Scheduler {
   /// Runs until no events remain or `max_events` were processed.
   void run_until_idle(std::uint64_t max_events = UINT64_MAX);
 
-  /// Requests that the current run_* call return after the active event.
-  void request_stop() { stop_requested_ = true; }
-
   /// Number of events executed since construction (a cheap progress proxy).
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// Number of events currently queued (cancelled ones may still be counted
-  /// until they would fire).
-  [[nodiscard]] std::size_t pending() const {
-    return heap_.size() - cancelled_.size();
-  }
+  /// Number of live (scheduled, not yet fired or cancelled) events.
+  [[nodiscard]] std::size_t pending() const { return callbacks_.size(); }
 
  private:
   struct Event {
@@ -79,16 +72,17 @@ class Scheduler {
     }
   };
 
-  /// Pops and runs the top non-cancelled event; advances the clock.
-  void dispatch(const Event& ev);
+  /// Runs `ev` and advances the clock to it, unless it was cancelled (its
+  /// callback is gone): then returns false and leaves the clock alone.
+  bool dispatch(const Event& ev);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  bool stop_requested_ = false;
   std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
+  /// Live events only: cancel() erases the entry, and the heap entry is
+  /// skipped when popped.
   std::unordered_map<TimerId, Callback> callbacks_;
-  std::unordered_set<TimerId> cancelled_;
 };
 
 }  // namespace sftbft::sim

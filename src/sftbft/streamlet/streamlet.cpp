@@ -170,16 +170,17 @@ SSyncResponse SSyncResponse::decode(Decoder& dec) {
 StreamletCore::StreamletCore(
     StreamletConfig config, sim::Scheduler& sched,
     std::shared_ptr<const crypto::KeyRegistry> registry,
-    mempool::Mempool& pool, Hooks hooks, storage::ReplicaStore* store)
+    core::Payloads& payloads, Hooks hooks, storage::ReplicaStore* store)
     : config_(config),
       sched_(sched),
       registry_(std::move(registry)),
       signer_(registry_->signer_for(config.id)),
-      pool_(pool),
+      payloads_(payloads),
       hooks_(std::move(hooks)),
       store_(store),
       history_(tree_),
-      committer_(tree_, ledger_, pool, sched),
+      committer_(tree_, ledger_, payloads, sched, config.observer, config.id,
+                 config.f()),
       sync_(core::SyncClient::Config{.id = config.id,
                                      .n = config.n,
                                      .retry_after = 8 * config.delta_bound,
@@ -205,26 +206,7 @@ StreamletCore::StreamletCore(
             }) {
   cache_ = crypto::VerifyCache(config_.observer, config_.id);
   committer_.set_store(store_);
-  committer_.set_on_commit([this](const Block& block, std::uint32_t strength,
-                                  SimTime now) {
-    if (obs::Observer* obs = config_.observer) {
-      const SimDuration latency = now - block.created_at;
-      if (strength <= config_.f()) {
-        obs->count(config_.id, obs::Counter::kCommits);
-        obs->observe(config_.id, obs::Hist::kCommitLatencyUs, latency);
-      } else {
-        obs->count(config_.id, obs::Counter::kStrongCommits);
-        obs->observe(config_.id, obs::Hist::kStrongCommitLatencyUs, latency);
-      }
-      if (obs->recording()) {
-        obs->emit(obs::span_event(
-            "block", strength <= config_.f() ? "committed" : "strong_commit",
-            config_.id, block.height, block.created_at, now,
-            {"round", block.round}, {"strength", strength}));
-      }
-    }
-    if (hooks_.on_commit) hooks_.on_commit(block, strength, now);
-  });
+  committer_.set_on_commit(hooks_.on_commit);
   committer_.set_snapshot_hook([this] { maybe_snapshot(); });
   endorsements_ = std::make_unique<core::StrengthTracker>(
       tree_, config_.n, config_.f(), config_.counting);
@@ -366,10 +348,8 @@ void StreamletCore::on_sync_response(const SSyncResponse& resp) {
     if (tree_.insert(block) == chain::BlockTree::InsertResult::Inserted) {
       if (hooks_.on_block_seen) hooks_.on_block_seen(block);
       // Synced digest payloads may reference batches this replica missed
-      // while down — pull them so commit-time materialization completes.
-      if (hooks_.fetch_payload && block.payload.is_digests()) {
-        hooks_.fetch_payload(block.payload);
-      }
+      // while down — pull them.
+      payloads_.fetch(block.payload);
     }
   }
   for (const SCert& cert : resp.certs) {
@@ -453,8 +433,7 @@ void StreamletCore::propose() {
   block.qc.block_id = parent.id;
   block.qc.round = parent.round;
   block.qc.parent_id = parent.parent_id;
-  block.payload = hooks_.make_payload ? hooks_.make_payload(config_.max_batch)
-                                      : pool_.make_batch(config_.max_batch);
+  block.payload = payloads_.make(config_.max_batch, sched_.now());
   block.created_at = sched_.now();
   block.seal();
 
@@ -474,7 +453,7 @@ void StreamletCore::propose() {
       // batch for this block.
       obs->emit_trace_only(obs::counter_event(
           "mempool", "mempool_depth", config_.id, sched_.now(),
-          {"pending", static_cast<std::uint64_t>(pool_.pending())}));
+          {"pending", static_cast<std::uint64_t>(payloads_.pending())}));
     }
   }
   hooks_.broadcast_proposal(proposal);
@@ -541,15 +520,15 @@ void StreamletCore::maybe_vote(const Block& block) {
   // data plane to deliver every referenced batch. Deferred, not dropped —
   // retry_awaiting_payloads re-runs this when batches land, and the round
   // tick lapses a deferral that missed its window.
-  if (hooks_.payload_available && !hooks_.payload_available(block.payload)) {
+  if (!payloads_.available(block.payload, sched_.now())) {
     awaiting_batches_ = block;
-    if (hooks_.fetch_payload) hooks_.fetch_payload(block.payload);
+    payloads_.fetch(block.payload);
     return;
   }
   // Dissem availability-wait milestone: the gate passed (immediately, or on
   // a retry after the missing batches landed).
   if (obs::Observer* obs = config_.observer;
-      obs != nullptr && obs->recording() && hooks_.payload_available) {
+      obs != nullptr && obs->recording() && payloads_.digests()) {
     obs->emit(obs::instant_event("dissem", "payload_ready", config_.id,
                                  sched_.now(), {"round", block.round},
                                  {"height", block.height}));

@@ -42,12 +42,12 @@
 #include "sftbft/common/types.hpp"
 #include "sftbft/core/block_sync.hpp"
 #include "sftbft/core/committer.hpp"
+#include "sftbft/core/payloads.hpp"
 #include "sftbft/core/strength.hpp"
 #include "sftbft/core/vote_history.hpp"
 #include "sftbft/crypto/aggregate.hpp"
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
-#include "sftbft/mempool/mempool.hpp"
 #include "sftbft/net/envelope.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
@@ -205,22 +205,15 @@ class StreamletCore {
     /// least as informed as the replica it audits. May be empty.
     std::function<void(const types::Block&)> on_block_seen;
     std::function<void(const SVote&)> on_vote_seen;
-    /// --- dissemination (all may be empty = inline payloads) ---
-    /// Leader-side payload source (digest-referencing proposals from the
-    /// local BatchStore); no requeue twin: Streamlet is lock-step, an
-    /// uncertified round's batches revert via the store's repropose window.
-    std::function<types::Payload(std::size_t max_batch)> make_payload;
-    /// Vote-availability gate: all referenced batches held locally?
-    std::function<bool(const types::Payload&)> payload_available;
-    /// Kick the pull protocol for a payload's missing batches.
-    std::function<void(const types::Payload&)> fetch_payload;
   };
 
   /// `store` (optional) enables durability (WAL'd votes + ledger snapshots)
-  /// and thereby restore() after a crash.
+  /// and thereby restore() after a crash. `payloads` must outlive the core;
+  /// Streamlet never requeues one (known gap for inline payloads, see
+  /// ROADMAP.md; digest batches revert via the store's repropose window).
   StreamletCore(StreamletConfig config, sim::Scheduler& sched,
                 std::shared_ptr<const crypto::KeyRegistry> registry,
-                mempool::Mempool& pool, Hooks hooks,
+                core::Payloads& payloads, Hooks hooks,
                 storage::ReplicaStore* store = nullptr);
 
   /// Starts the lock-step round ticks (round r spans [2Δ(r-1), 2Δr)).
@@ -242,15 +235,6 @@ class StreamletCore {
   /// still awaiting a response or its certified tip lags the lock-step
   /// clock.
   void request_sync();
-
-  /// Dissemination mode: the committer resolves digest payloads against
-  /// `batches` before ledger appends; `pull` fetches batches that sync
-  /// delivered certified but undisseminated.
-  void attach_batch_store(
-      dissem::BatchStore* batches,
-      std::function<void(const std::vector<crypto::Sha256Digest>&)> pull) {
-    committer_.set_batch_store(batches, std::move(pull));
-  }
 
   /// Re-runs the vote path for a proposal deferred on missing batches (call
   /// when new batches arrive). Lock-step rounds mean at most one proposal
@@ -295,7 +279,7 @@ class StreamletCore {
   sim::Scheduler& sched_;
   std::shared_ptr<const crypto::KeyRegistry> registry_;
   crypto::Signer signer_;
-  mempool::Mempool& pool_;
+  core::Payloads& payloads_;
   Hooks hooks_;
   storage::ReplicaStore* store_;  // null = no persistence
 

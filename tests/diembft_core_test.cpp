@@ -50,7 +50,7 @@ class DiemBftCoreTest : public ::testing::Test {
       outbox_.commits.emplace_back(block.id, strength, now);
     };
     core_ = std::make_unique<core::ChainedCore>(config, sched_, registry_,
-                                                pool_, std::move(hooks));
+                                                payloads_, std::move(hooks));
     core_->start();
   }
 
@@ -102,6 +102,7 @@ class DiemBftCoreTest : public ::testing::Test {
   sim::Scheduler sched_;
   std::shared_ptr<crypto::KeyRegistry> registry_;
   mempool::Mempool pool_;
+  core::Payloads payloads_{pool_};
   Outbox outbox_;
   std::unique_ptr<core::ChainedCore> core_;
 };

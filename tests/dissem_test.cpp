@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sftbft/core/committer.hpp"
+#include "sftbft/core/payloads.hpp"
 #include "sftbft/dissem/admission.hpp"
 #include "sftbft/dissem/batch.hpp"
 #include "sftbft/dissem/batch_store.hpp"
@@ -115,14 +116,14 @@ TEST(BatchStore, CommitResolutionDedupsAcrossForks) {
   std::vector<crypto::Sha256Digest> missing;
   const auto first = store.resolve_committed(
       types::Payload::referencing({a.digest, b.digest}), missing);
-  EXPECT_EQ(first.txns.size(), 3u);
+  EXPECT_EQ(first.txn_count, 3u);
   // Only the owner's batch is handed back for its mempool.
   ASSERT_EQ(first.own.txns.size(), 2u);
   EXPECT_EQ(first.own.txns[0].id, 1u);
   EXPECT_TRUE(missing.empty());
   const auto second = store.resolve_committed(
       types::Payload::referencing({a.digest}), missing);
-  EXPECT_TRUE(second.txns.empty());
+  EXPECT_EQ(second.txn_count, 0u);
   EXPECT_EQ(store.committed_batches(), 2u);
 }
 
@@ -135,7 +136,7 @@ TEST(BatchStore, LateBatchForCommittedDigestFilesAsCommitted) {
   std::vector<crypto::Sha256Digest> missing;
   const auto resolved = store.resolve_committed(
       types::Payload::referencing({late.digest}), missing);
-  EXPECT_TRUE(resolved.txns.empty());
+  EXPECT_EQ(resolved.txn_count, 0u);
   ASSERT_EQ(missing.size(), 1u);
   EXPECT_EQ(missing[0], late.digest);
 
@@ -144,10 +145,11 @@ TEST(BatchStore, LateBatchForCommittedDigestFilesAsCommitted) {
   EXPECT_EQ(store.committed_batches(), 1u);
   // Re-resolving is a no-op (the digest is already counted).
   std::vector<crypto::Sha256Digest> missing2;
-  EXPECT_TRUE(store
-                  .resolve_committed(
-                      types::Payload::referencing({late.digest}), missing2)
-                  .txns.empty());
+  EXPECT_EQ(store
+                .resolve_committed(types::Payload::referencing({late.digest}),
+                                   missing2)
+                .txn_count,
+            0u);
   EXPECT_TRUE(missing2.empty());
 }
 
@@ -161,8 +163,8 @@ TEST(Committer, OnlyOwnBatchesReachTheMempool) {
   chain::Ledger ledger;
   mempool::Mempool pool;
   BatchStore store(1);
-  core::Committer committer(tree, ledger, pool, sched);
-  committer.set_batch_store(&store, {});
+  core::Payloads payloads(pool, store, DissemConfig{}, {});
+  core::Committer committer(tree, ledger, payloads, sched, nullptr, 1, 1);
 
   for (std::uint64_t i = 0; i < 3; ++i) pool.submit(txn(kOwn | i));
   Batch own;
@@ -190,6 +192,63 @@ TEST(Committer, OnlyOwnBatchesReachTheMempool) {
   // Own ids are in the committed window; foreign ones never reached it.
   EXPECT_EQ(pool.submit(txn(kOwn)), mempool::Mempool::Admit::kDuplicate);
   EXPECT_EQ(pool.submit(txn(kForeign)), mempool::Mempool::Admit::kAccepted);
+}
+
+// --------------------------------------------------------------- Payloads
+
+TEST(Payloads, TimedOutPayloadReturnsWhereItCameFrom) {
+  // A timed-out digest payload goes back to the store's Available set; an
+  // inline payload goes back to the mempool, even with a store wired.
+  mempool::Mempool pool;
+  BatchStore store(0);
+  core::Payloads payloads(pool, store, DissemConfig{}, {});
+  store.add(make_batch(1, 0, {7}));
+
+  const types::Payload digests = payloads.make(1000, /*now=*/0);
+  ASSERT_TRUE(digests.is_digests());
+  ASSERT_EQ(store.proposable(), 0u);
+  payloads.requeue(digests);
+  EXPECT_EQ(store.proposable(), 1u);
+
+  for (std::uint64_t i = 0; i < 3; ++i) pool.submit(txn(i));
+  const types::Payload inline_payload = pool.make_batch(3);
+  ASSERT_EQ(pool.pending(), 0u);
+  payloads.requeue(inline_payload);
+  EXPECT_EQ(pool.pending(), 3u);
+  EXPECT_EQ(pool.in_flight(), 0u);
+  EXPECT_EQ(store.proposable(), 1u);
+}
+
+TEST(Payloads, InlineCommitCountsAndLeavesNothingInFlight) {
+  mempool::Mempool pool;
+  core::Payloads payloads(pool);
+  for (std::uint64_t i = 0; i < 3; ++i) pool.submit(txn(i));
+  const types::Payload payload = payloads.make(5, /*now=*/0);
+  ASSERT_EQ(pool.in_flight(), 3u);
+  EXPECT_EQ(payloads.commit(payload), payload.txns.size());
+  EXPECT_EQ(pool.in_flight(), 0u);
+}
+
+TEST(Payloads, DigestCommitOfMissingBatchPullsOnce) {
+  // Block-sync path: the ordering commits a digest whose batch never
+  // arrived. The commit pulls it exactly once, however many blocks (forks)
+  // reference it.
+  mempool::Mempool pool;
+  BatchStore store(0);
+  std::vector<std::vector<crypto::Sha256Digest>> pulls;
+  core::Payloads payloads(
+      pool, store, DissemConfig{},
+      [&pulls](const std::vector<crypto::Sha256Digest>& missing) {
+        pulls.push_back(missing);
+      });
+  const Batch absent = make_batch(2, 0, {5, 6});
+  const types::Payload payload = types::Payload::referencing({absent.digest});
+
+  EXPECT_EQ(payloads.commit(payload), 0u);
+  ASSERT_EQ(pulls.size(), 1u);
+  EXPECT_EQ(pulls[0], std::vector<crypto::Sha256Digest>{absent.digest});
+  EXPECT_EQ(payloads.commit(payload), 0u);
+  EXPECT_EQ(pulls.size(), 1u);
 }
 
 TEST(CheckedPush, VerdictNeverSurvivesCopyOrAssignment) {

@@ -81,7 +81,7 @@ TEST(LedgerSummary, ComputesThroughputAndLatency) {
     types::Block b = block_with(r, r * 1000);
     b.payload.txns.resize(10);
     b.seal();
-    ledger.commit(b, 1, r * 1000 + 500);
+    ledger.commit(b, 1, r * 1000 + 500, b.payload.txns.size());
   }
   const LedgerSummary summary =
       summarize_ledger(ledger, seconds(1), 0, seconds(1));

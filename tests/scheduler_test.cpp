@@ -49,6 +49,31 @@ TEST(Scheduler, CancelPreventsExecution) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Scheduler, CancelledEventNeitherRunsNorMovesTheClock) {
+  Scheduler sched;
+  bool early_fired = false;
+  bool late_fired = false;
+  const TimerId early = sched.schedule_at(10, [&] { early_fired = true; });
+  const TimerId late = sched.schedule_at(30, [&] { late_fired = true; });
+  sched.schedule_at(20, [] {});
+  EXPECT_EQ(sched.pending(), 3u);
+  sched.cancel(early);
+  sched.cancel(early);  // a second cancel changes nothing
+  sched.cancel(late);
+  EXPECT_EQ(sched.pending(), 1u);
+
+  // The cancelled event at t=10 is skipped without setting the clock; the
+  // live event at t=20 runs; the cancelled one at t=30 leaves the clock at 20.
+  EXPECT_TRUE(sched.run_one());
+  EXPECT_EQ(sched.now(), 20);
+  EXPECT_FALSE(sched.run_one());
+  EXPECT_EQ(sched.now(), 20);
+  EXPECT_FALSE(early_fired);
+  EXPECT_FALSE(late_fired);
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.events_processed(), 1u);
+}
+
 TEST(Scheduler, CancelAfterFireIsNoop) {
   Scheduler sched;
   const TimerId id = sched.schedule_at(10, [] {});

@@ -16,7 +16,8 @@ class SftStreamletUnit : public ::testing::Test {
 
   SftStreamletUnit()
       : registry_(std::make_shared<crypto::KeyRegistry>(kN, 3)),
-        core_(make_config(), sched_, registry_, pool_, StreamletCore::Hooks{}) {}
+        core_(make_config(), sched_, registry_, payloads_,
+              StreamletCore::Hooks{}) {}
 
   static StreamletConfig make_config() {
     StreamletConfig config;
@@ -70,6 +71,7 @@ class SftStreamletUnit : public ::testing::Test {
   sim::Scheduler sched_;
   std::shared_ptr<crypto::KeyRegistry> registry_;
   mempool::Mempool pool_;
+  core::Payloads payloads_{pool_};
   StreamletCore core_;
 };
 
