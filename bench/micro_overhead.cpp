@@ -347,9 +347,10 @@ void BM_BlockSealWarmPayload(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockSealWarmPayload);
 
-/// The broadcast hot path: one canonical encode of a ~450 KB proposal
-/// envelope (Encoder::reserve sizes the buffer exactly — compare with the
-/// _NoReserve variant below for the before/after of that satellite fix).
+/// Building one ~450 KB proposal frame: pack (records plus body runs, no
+/// body bytes) and encode(), which expands the runs into the frame. The
+/// simulated transport pays this only on a corrupted link; everywhere else
+/// it charges encoded_size() (BM_PackBatchPush250x4500 is that path).
 void BM_EnvelopeEncodeProposal450KB(benchmark::State& state) {
   const types::Proposal proposal = make_block_proposal();
   std::size_t frame_bytes = 0;
@@ -434,6 +435,30 @@ void BM_BroadcastBatchPushN50(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BroadcastBatchPushN50)->Unit(benchmark::kMillisecond);
+
+/// The sender's whole encode cost per digest_dissem batch push: pack a
+/// 250 x 4.5 KB batch (~1.1 MB on the wire) and size it, with no frame
+/// built. The bodies stay runs, so this writes ~6 KB of records.
+void BM_PackBatchPush250x4500(benchmark::State& state) {
+  dissem::Batch batch;
+  batch.creator = 0;
+  for (std::uint64_t i = 0; i < 250; ++i) {
+    batch.txns.push_back(
+        {.id = i + 1, .submitted_at = 0, .size_bytes = 4500});
+  }
+  batch.seal();
+  const dissem::BatchPush push{batch};
+  std::size_t wire_bytes = 0;
+  for (auto _ : state) {
+    const net::Envelope env =
+        net::Envelope::pack(net::WireType::kBatchPush, 0, push);
+    wire_bytes = env.encoded_size();
+    benchmark::DoNotOptimize(wire_bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(wire_bytes));
+}
+BENCHMARK(BM_PackBatchPush250x4500);
 
 /// mark_committed of a 250-transaction batch from another replica's id
 /// space (fresh ids each iteration, as in a live run) against a pool

@@ -4,11 +4,23 @@
 // little-endian integers, length-prefixed containers). Signing and hashing
 // operate on these canonical bytes, so two structurally equal messages always
 // produce identical digests — a property several tests rely on.
+//
+// Synthetic transaction bodies (types::Transaction) are a pure function of
+// their record, so an encoding may hold them as *runs* instead of bytes: a
+// BodyRun names the id, size and offset of one body, and nothing is written
+// for it. `Encoder::data()` and `take()` expand every run, so hashes, the
+// storage layer and every other byte consumer see the full wire bytes;
+// `take_compact()` keeps them as runs (net::Envelope::pack), and a Decoder
+// given the runs reads the compact form exactly as it would the expanded
+// bytes, except that a body can only be skipped whole, never read.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sftbft/common/bytes.hpp"
 
@@ -18,6 +30,27 @@ namespace sftbft {
 class CodecError : public std::runtime_error {
  public:
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// One synthetic body held as a run: `size` bytes derived from `id` (its
+/// little-endian bytes repeated, the last copy cut short) at byte `offset`
+/// of the full encoding.
+struct BodyRun {
+  std::uint64_t offset = 0;
+  std::uint64_t id = 0;
+  std::uint32_t size = 0;
+
+  friend bool operator==(const BodyRun&, const BodyRun&) = default;
+};
+
+/// Runs in increasing offset order.
+using BodyRuns = std::vector<BodyRun>;
+
+/// An encoding in compact form: every byte outside a run, in order, plus
+/// the runs.
+struct CompactBytes {
+  Bytes literal;
+  BodyRuns runs;
 };
 
 /// Appends fixed-width little-endian values to an owned buffer.
@@ -41,34 +74,58 @@ class Encoder {
   /// Raw bytes with no length prefix (for fixed-size digests/signatures).
   void raw(BytesView data);
 
-  /// Pre-reserves capacity for `additional` more bytes. Message-sized
-  /// encodes (envelope framing, block payloads) call this with their exact
-  /// size so the hot broadcast path appends without reallocating — see
-  /// bench/micro_overhead.cpp for the before/after.
-  void reserve(std::size_t additional) { buf_.reserve(buf_.size() + additional); }
+  /// Appends the synthetic body of transaction `id` (`size` bytes) as a
+  /// run: it is recorded, not written, until data() or take() expands it.
+  void synthetic(std::uint64_t id, std::uint32_t size);
 
-  /// Appends `count` uninitialized bytes and returns a pointer to them, so
-  /// generated content (synthetic transaction bodies) can be written in
-  /// place instead of staged in a temporary buffer. The pointer is valid
-  /// until the next append.
-  [[nodiscard]] std::uint8_t* grow(std::size_t count) {
-    buf_.resize(buf_.size() + count);
-    return buf_.data() + (buf_.size() - count);
+  /// Pre-reserves capacity for `additional` more literal bytes (runs take
+  /// none until expanded). Message-sized encodes (envelope framing, block
+  /// payloads) call this with their exact size so they append without
+  /// reallocating. Container encodes call it once per element, so growth
+  /// stays amortized: a buffer that must grow at least doubles.
+  void reserve(std::size_t additional) {
+    const std::size_t needed = buf_.size() + additional;
+    if (needed > buf_.capacity()) {
+      buf_.reserve(std::max(needed, 2 * buf_.capacity()));
+    }
   }
 
-  [[nodiscard]] const Bytes& data() const { return buf_; }
-  [[nodiscard]] Bytes take() { return std::move(buf_); }
+  /// Bytes encoded so far, runs included.
+  [[nodiscard]] std::size_t size() const { return buf_.size() + run_bytes_; }
+
+  /// The full wire bytes, every run expanded (in place, once).
+  [[nodiscard]] const Bytes& data() {
+    expand();
+    return buf_;
+  }
+  [[nodiscard]] Bytes take() {
+    expand();
+    return std::move(buf_);
+  }
+
+  /// The compact form: no body byte is ever written.
+  [[nodiscard]] CompactBytes take_compact() {
+    run_bytes_ = 0;
+    return {std::move(buf_), std::move(runs_)};
+  }
 
  private:
   void put_le(std::uint64_t v, int width);
+  void expand();
 
   Bytes buf_;
+  BodyRuns runs_;
+  std::size_t run_bytes_ = 0;  ///< total size of runs_
 };
 
-/// Reads values back in the order they were encoded; bounds-checked.
+/// Reads values back in the order they were encoded; bounds-checked. Given
+/// the runs of a compact encoding (`data` then holds its literal bytes), it
+/// reads as if the runs were expanded, with one restriction: a body is only
+/// consumed by a skip() at its exact offset and of its exact size. Any
+/// other read that would touch body bytes throws CodecError.
 class Decoder {
  public:
-  explicit Decoder(BytesView data) : data_(data) {}
+  explicit Decoder(BytesView data, std::span<const BodyRun> runs = {});
 
   std::uint8_t u8();
   std::uint16_t u16();
@@ -81,7 +138,8 @@ class Decoder {
   /// Reads exactly `size` raw bytes (no length prefix).
   Bytes raw(std::size_t size);
   /// Skips `size` bytes (bounds-checked) without materializing them — used
-  /// for derived content (transaction bodies) that re-encoding regenerates.
+  /// for synthetic transaction bodies, which are derived from the record.
+  /// At a run's offset it must consume exactly that run.
   void skip(std::size_t size);
 
   /// Reads a u32 element count and rejects counts that could not possibly
@@ -90,15 +148,27 @@ class Decoder {
   /// `reserve(count)` so a garbage count cannot force a huge allocation.
   std::uint32_t count(std::size_t min_element_bytes);
 
-  [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  [[nodiscard]] bool exhausted() const {
+    return pos_ == data_.size() && next_run_ == runs_.size();
+  }
+  /// Bytes left to read, pending run bytes included.
+  [[nodiscard]] std::size_t remaining() const {
+    return data_.size() - pos_ + run_bytes_left_;
+  }
 
  private:
   std::uint64_t get_le(int width);
   void need(std::size_t count) const;
+  /// Points `limit_` at the next run (or the end of the literal bytes).
+  void next_limit();
 
   BytesView data_;
-  std::size_t pos_ = 0;
+  std::span<const BodyRun> runs_;
+  std::size_t pos_ = 0;            ///< into data_ (literal bytes)
+  std::size_t limit_ = 0;          ///< literal reads must end by here
+  std::size_t next_run_ = 0;       ///< first run not yet skipped
+  std::uint64_t run_bytes_done_ = 0;  ///< body bytes skipped so far
+  std::uint64_t run_bytes_left_ = 0;  ///< body bytes still pending
 };
 
 }  // namespace sftbft

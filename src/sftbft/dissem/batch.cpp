@@ -28,22 +28,16 @@ void Batch::seal() { digest = content_digest(*this); }
 
 bool Batch::digest_is_valid() const { return digest == content_digest(*this); }
 
-std::uint64_t Batch::total_bytes() const {
-  std::uint64_t total = 0;
-  for (const types::Transaction& txn : txns) total += txn.size_bytes;
-  return total;
-}
-
 void Batch::encode(Encoder& enc) const {
   enc.reserve(kMinEncodedBytes +
-              txns.size() * types::Transaction::kRecordBytes + total_bytes());
+              txns.size() * types::Transaction::kRecordBytes);
   enc.raw(digest.bytes);
   enc.u32(creator);
   enc.u64(seq);
   enc.u32(static_cast<std::uint32_t>(txns.size()));
   for (const types::Transaction& txn : txns) {
     txn.encode(enc);
-    types::append_synthetic_body(enc, txn.id, txn.size_bytes);
+    enc.synthetic(txn.id, txn.size_bytes);
   }
 }
 
@@ -73,9 +67,10 @@ BatchPush BatchPush::decode(Decoder& dec) {
 
 const CheckedPush& CheckedPush::of(const net::Envelope& env) {
   return env.derived<CheckedPush>([](const net::Envelope& e) {
-    BatchPush push = e.unpack<BatchPush>();
-    const bool valid = push.batch.digest_is_valid();
-    return CheckedPush{std::move(push), valid};
+    auto batch =
+        std::make_shared<const Batch>(e.unpack<BatchPush>().batch);
+    const bool valid = batch->digest_is_valid();
+    return CheckedPush{std::move(batch), valid};
   });
 }
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sftbft/common/codec.hpp"
@@ -45,12 +46,9 @@ struct Batch {
   /// under an honest digest.
   [[nodiscard]] bool digest_is_valid() const;
 
-  /// Sum of transaction body sizes (the synthetic-body wire weight).
-  [[nodiscard]] std::uint64_t total_bytes() const;
-
   /// Canonical wire encoding: digest, creator, seq, count, then per
-  /// transaction the record followed by its synthetic body (same
-  /// skip-on-decode / regenerate-on-encode scheme as types::Payload).
+  /// transaction the record followed by its synthetic body (an Encoder
+  /// run, skipped on decode, as in types::Payload).
   void encode(Encoder& enc) const;
   static Batch decode(Decoder& dec);
 
@@ -77,12 +75,12 @@ struct BatchPush {
 
 /// A BatchPush decoded from one envelope, with its digest verdict. Built
 /// once per envelope object and immutable after: the clean recipients of a
-/// broadcast push share one envelope, so they share one decode and one
-/// digest check. The verdict lives here, never on Batch (whose
-/// digest_is_valid() always recomputes), so it can only describe the bytes
-/// it was computed from.
+/// broadcast push share one envelope, so they share one decode, one digest
+/// check and one stored Batch (BatchStore keeps the pointer). The verdict
+/// lives here, never on Batch (whose digest_is_valid() always recomputes),
+/// so it can only describe the bytes it was computed from.
 struct CheckedPush {
-  BatchPush push;
+  std::shared_ptr<const Batch> batch;
   bool digest_valid = false;
 
   /// The checked push of `env` (a kBatchPush envelope), decoded and hashed

@@ -2,8 +2,8 @@
 
 namespace sftbft::dissem {
 
-bool BatchStore::add(Batch batch) {
-  const crypto::Sha256Digest digest = batch.digest;
+bool BatchStore::add(std::shared_ptr<const Batch> batch) {
+  const crypto::Sha256Digest digest = batch->digest;
   auto [it, inserted] = entries_.try_emplace(digest, Entry{std::move(batch)});
   if (!inserted) return false;
   if (committed_missing_.erase(digest) > 0) {
@@ -19,7 +19,7 @@ bool BatchStore::add(Batch batch) {
 
 const Batch* BatchStore::find(const crypto::Sha256Digest& digest) const {
   const auto it = entries_.find(digest);
-  return it == entries_.end() ? nullptr : &it->second.batch;
+  return it == entries_.end() ? nullptr : it->second.batch.get();
 }
 
 types::Payload BatchStore::make_payload(std::size_t max_batches, SimTime now,
@@ -85,9 +85,9 @@ BatchStore::Resolved BatchStore::resolve_committed(
     if (entry.status == Status::kCommitted) continue;  // fork duplicate
     entry.status = Status::kCommitted;
     ++committed_batches_;
-    const std::vector<types::Transaction>& txns = entry.batch.txns;
+    const std::vector<types::Transaction>& txns = entry.batch->txns;
     out.txn_count += txns.size();
-    if (entry.batch.creator == owner_) {
+    if (entry.batch->creator == owner_) {
       out.own.txns.insert(out.own.txns.end(), txns.begin(), txns.end());
     }
   }

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -45,8 +46,10 @@ class BatchStore {
 
   /// Adds a validated batch. Returns true if new. A batch whose digest was
   /// already committed (data arrived after the ordering did — the pull
-  /// fallback on the sync path) is stored directly as Committed.
-  bool add(Batch batch);
+  /// fallback on the sync path) is stored directly as Committed. The store
+  /// keeps the shared batch itself, so every replica that received one
+  /// broadcast push holds the same object.
+  bool add(std::shared_ptr<const Batch> batch);
 
   [[nodiscard]] bool has(const crypto::Sha256Digest& digest) const {
     return entries_.contains(digest);
@@ -103,7 +106,7 @@ class BatchStore {
 
  private:
   struct Entry {
-    Batch batch;
+    std::shared_ptr<const Batch> batch;
     Status status = Status::kAvailable;
     SimTime proposed_at = 0;
   };

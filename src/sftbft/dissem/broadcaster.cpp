@@ -64,7 +64,7 @@ void BatchBroadcaster::pack_and_push() {
   batch.seq = seq_++;
   batch.txns = drained.txns;
   batch.seal();
-  store_.add(batch);
+  store_.add(std::make_shared<const Batch>(batch));
   ++batches_packed_;
   if (obs::Observer* obs = config_.observer) {
     obs->count(id_, obs::Counter::kBatchesPacked);
@@ -85,14 +85,15 @@ void BatchBroadcaster::pack_and_push() {
                        /*include_self=*/false);
 }
 
-void BatchBroadcaster::ingest(const Batch& batch, bool digest_valid,
-                              bool& any_new) {
+void BatchBroadcaster::ingest(std::shared_ptr<const Batch> batch,
+                              bool digest_valid, bool& any_new) {
   // The content address is the only trust anchor on the data plane: a batch
   // whose digest does not match its bytes is discarded no matter who sent
   // it.
   if (!digest_valid) return;
-  if (!store_.add(batch)) return;
-  const bool was_missing = missing_.erase(batch.digest) > 0;
+  const crypto::Sha256Digest digest = batch->digest;
+  if (!store_.add(std::move(batch))) return;
+  const bool was_missing = missing_.erase(digest) > 0;
   any_new = true;
   if (obs::Observer* obs = config_.observer; obs != nullptr) {
     if (was_missing) {
@@ -113,7 +114,7 @@ void BatchBroadcaster::ingest(const Batch& batch, bool digest_valid,
 
 void BatchBroadcaster::on_push(const CheckedPush& push) {
   bool any_new = false;
-  ingest(push.push.batch, push.digest_valid, any_new);
+  ingest(push.batch, push.digest_valid, any_new);
   if (any_new && on_arrival_) on_arrival_();
 }
 
@@ -131,10 +132,11 @@ void BatchBroadcaster::on_request(const BatchRequest& req) {
                   Envelope::pack(WireType::kBatchResponse, id_, resp));
 }
 
-void BatchBroadcaster::on_response(const BatchResponse& resp) {
+void BatchBroadcaster::on_response(BatchResponse resp) {
   bool any_new = false;
-  for (const Batch& batch : resp.batches) {
-    ingest(batch, batch.digest_is_valid(), any_new);
+  for (Batch& batch : resp.batches) {
+    const bool valid = batch.digest_is_valid();
+    ingest(std::make_shared<const Batch>(std::move(batch)), valid, any_new);
   }
   if (any_new && on_arrival_) on_arrival_();
 }

@@ -60,7 +60,7 @@ class BatchBroadcaster {
   /// broadcast envelope; pulled batches are checked here, one by one.
   void on_push(const CheckedPush& push);
   void on_request(const BatchRequest& req);
-  void on_response(const BatchResponse& resp);
+  void on_response(BatchResponse resp);
 
   /// Registers digests this replica needs (referenced by a proposal or a
   /// synced block but not locally held) and starts pulling.
@@ -78,7 +78,8 @@ class BatchBroadcaster {
   void schedule_pack();
   void pack_and_push();
   void pull_round();
-  void ingest(const Batch& batch, bool digest_valid, bool& any_new);
+  void ingest(std::shared_ptr<const Batch> batch, bool digest_valid,
+              bool& any_new);
 
   ReplicaId id_;
   std::uint32_t n_;

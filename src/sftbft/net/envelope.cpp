@@ -1,5 +1,7 @@
 #include "sftbft/net/envelope.hpp"
 
+#include <limits>
+
 #include "sftbft/common/crc32.hpp"
 
 namespace sftbft::net {
@@ -59,14 +61,63 @@ const char* wire_type_name(WireType type) {
   return "unknown";
 }
 
-Bytes Envelope::encode() const {
+namespace {
+
+/// Appends the payload's literal bytes with its bodies as runs, in wire
+/// order.
+void append_payload(Encoder& enc, const Envelope& env) {
+  std::size_t literal = 0;
+  std::uint64_t body_bytes = 0;
+  for (const BodyRun& run : env.bodies) {
+    if (run.offset < body_bytes + literal ||
+        run.offset - body_bytes > env.payload.size()) {
+      throw CodecError("Envelope: body run out of order");
+    }
+    const std::size_t upto = run.offset - body_bytes;
+    enc.raw(BytesView(env.payload).subspan(literal, upto - literal));
+    enc.synthetic(run.id, run.size);
+    literal = upto;
+    body_bytes += run.size;
+  }
+  enc.raw(BytesView(env.payload).subspan(literal));
+}
+
+/// The payload's wire bytes, bodies expanded.
+Bytes wire_payload(const Envelope& env) {
   Encoder enc;
-  enc.reserve(encoded_size());
+  enc.reserve(env.payload.size());
+  append_payload(enc, env);
+  return enc.take();
+}
+
+}  // namespace
+
+std::size_t Envelope::encoded_size() const {
+  std::size_t size = kOverhead + payload.size();
+  for (const BodyRun& run : bodies) size += run.size;
+  return size;
+}
+
+Bytes Envelope::encode() const {
+  const std::size_t size = encoded_size() - kOverhead;
+  if (size > std::numeric_limits<std::uint32_t>::max()) {
+    throw CodecError("Envelope: payload too large");
+  }
+  Encoder enc;
+  enc.reserve(kOverhead + payload.size());
   enc.u8(static_cast<std::uint8_t>(type));
   enc.u32(sender);
-  enc.bytes(BytesView(payload));
+  enc.u32(static_cast<std::uint32_t>(size));
+  append_payload(enc, *this);
   enc.u32(crc32(BytesView(enc.data())));
   return enc.take();
+}
+
+bool operator==(const Envelope& a, const Envelope& b) {
+  if (a.type != b.type || a.sender != b.sender) return false;
+  // Identical runs sit at identical offsets, so the literal bytes decide.
+  if (a.bodies == b.bodies) return a.payload == b.payload;
+  return wire_payload(a) == wire_payload(b);
 }
 
 Envelope Envelope::decode(BytesView frame) {

@@ -19,6 +19,12 @@
 // CorruptSpec corrupts, whose receiver must reject the flipped bits at the
 // CRC (CodecError), and in a future socket backend that streams frames
 // verbatim. A clean simulated link delivers the sender's Envelope as is.
+//
+// A packed Envelope holds its payload in the codec's compact form: the
+// literal bytes plus the runs of its synthetic transaction bodies
+// (BodyRun), which make up nearly all of a ~1.1 MB BatchPush. The runs
+// count in encoded_size(), are read by unpack() as bodies to skip, and are
+// expanded into bytes only by encode(), i.e. only into an actual frame.
 #pragma once
 
 #include <cstdint>
@@ -84,11 +90,18 @@ inline constexpr ChainedWireSet kHotStuffWires{
 struct Envelope {
   WireType type{};
   ReplicaId sender = kNoReplica;
+  /// The payload's literal bytes: all of it, unless `bodies` holds runs.
   Bytes payload;
+  /// Synthetic bodies of the payload, offsets relative to its start.
+  BodyRuns bodies;
 
   Envelope() = default;
-  Envelope(WireType type, ReplicaId sender, Bytes payload)
-      : type(type), sender(sender), payload(std::move(payload)) {}
+  Envelope(WireType type, ReplicaId sender, Bytes payload,
+           BodyRuns bodies = {})
+      : type(type),
+        sender(sender),
+        payload(std::move(payload)),
+        bodies(std::move(bodies)) {}
 
   /// Frame overhead around a payload of any size (type + sender + length +
   /// crc): the exact constant, not an estimate.
@@ -96,25 +109,26 @@ struct Envelope {
 
   /// The message's wire size, without building the frame: always equal to
   /// `encode().size()`.
-  [[nodiscard]] std::size_t encoded_size() const {
-    return kOverhead + payload.size();
-  }
+  [[nodiscard]] std::size_t encoded_size() const;
 
   /// Canonical frame bytes (framing plus a CRC over the whole frame).
   [[nodiscard]] Bytes encode() const;
 
   /// Parses and validates a frame: known tag, intact length, matching CRC,
   /// no trailing bytes. Throws CodecError otherwise — the transport counts
-  /// such frames as corrupt drops and never delivers them.
+  /// such frames as corrupt drops and never delivers them. The decoded
+  /// payload is all literal bytes.
   static Envelope decode(BytesView frame);
 
-  /// Wraps a message's canonical encoding. M must expose
+  /// Wraps a message's canonical encoding, in compact form. M must expose
   /// `void encode(Encoder&) const`.
   template <typename M>
   static Envelope pack(WireType type, ReplicaId sender, const M& msg) {
     Encoder enc;
     msg.encode(enc);
-    return Envelope{type, sender, enc.take()};
+    CompactBytes compact = enc.take_compact();
+    return Envelope{type, sender, std::move(compact.literal),
+                    std::move(compact.runs)};
   }
 
   /// Decodes the payload as message type M (which must expose
@@ -122,7 +136,7 @@ struct Envelope {
   /// or trailing bytes; callers on the receive path catch and drop.
   template <typename M>
   [[nodiscard]] M unpack() const {
-    Decoder dec{BytesView(payload.data(), payload.size())};
+    Decoder dec{BytesView(payload.data(), payload.size()), bodies};
     M msg = M::decode(dec);
     if (!dec.exhausted()) {
       throw CodecError("Envelope: trailing bytes after payload");
@@ -148,10 +162,9 @@ struct Envelope {
     return *static_cast<const T*>(memo_.value.get());
   }
 
-  /// The memo takes no part in equality.
-  friend bool operator==(const Envelope& a, const Envelope& b) {
-    return a.type == b.type && a.sender == b.sender && a.payload == b.payload;
-  }
+  /// Equal wire bytes: a packed envelope equals its decoded frame. The
+  /// memo takes no part in equality.
+  friend bool operator==(const Envelope& a, const Envelope& b);
 
  private:
   template <typename T>

@@ -33,7 +33,7 @@ void SimTransport::send(ReplicaId to, Envelope env, const char* label) {
   const char* key = label != nullptr ? label : wire_type_name(env.type);
   const auto shared = std::make_shared<const Envelope>(std::move(env));
   std::optional<Bytes> frame;
-  route(shared->sender, to, key, shared, frame);
+  route(shared->sender, to, key, shared, shared->encoded_size(), frame);
 }
 
 void SimTransport::broadcast(Envelope env, bool include_self,
@@ -44,22 +44,22 @@ void SimTransport::broadcast(Envelope env, bool include_self,
   const auto shared = std::make_shared<const Envelope>(std::move(env));
   std::optional<Bytes> frame;
   const ReplicaId from = shared->sender;
+  const std::size_t size = shared->encoded_size();
   std::uint32_t recipients = 0;
   for (ReplicaId to = 0; to < topology_.size(); ++to) {
     if (to == from && !include_self) continue;
-    route(from, to, key, shared, frame);
+    route(from, to, key, shared, size, frame);
     ++recipients;
   }
   if (recipients > 1) {
     stats_.record_broadcast_savings(
-        static_cast<std::uint64_t>(recipients - 1) * shared->encoded_size());
+        static_cast<std::uint64_t>(recipients - 1) * size);
   }
 }
 
 void SimTransport::route(ReplicaId from, ReplicaId to, const char* label,
                          const std::shared_ptr<const Envelope>& env,
-                         std::optional<Bytes>& frame) {
-  const std::size_t size = env->encoded_size();
+                         std::size_t size, std::optional<Bytes>& frame) {
   stats_.record(label, size);
   if (from != to) stats_.record_egress(from, size);
   if (filter_ && !filter_(from, to)) return;

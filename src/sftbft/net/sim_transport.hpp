@@ -106,11 +106,12 @@ class SimTransport final : public Transport {
  private:
   /// Charges and schedules one delivery of `env`. Clean links deliver the
   /// shared envelope itself (one immutable object per send or broadcast, so
-  /// receivers may share views derived from it: Envelope::derived). `frame`
-  /// is the send's lazily built frame, filled by the first link that
-  /// corrupts and reused by the rest.
+  /// receivers may share views derived from it: Envelope::derived). `size`
+  /// is its encoded_size(), taken once per send or broadcast. `frame` is
+  /// the send's lazily built frame, filled by the first link that corrupts
+  /// and reused by the rest.
   void route(ReplicaId from, ReplicaId to, const char* label,
-             const std::shared_ptr<const Envelope>& env,
+             const std::shared_ptr<const Envelope>& env, std::size_t size,
              std::optional<Bytes>& frame);
   /// Byte-level receive for corrupted frames: decode (CRC + framing) into a
   /// fresh envelope or drop as corrupt.

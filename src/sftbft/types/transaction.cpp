@@ -1,32 +1,8 @@
 #include "sftbft/types/transaction.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace sftbft::types {
-
-/// Synthetic body: the little-endian id repeated across `size` bytes. A
-/// pure function of the record, so decode can skip it and re-encode
-/// regenerates it bit-identically. Written in place into the encoder's
-/// buffer by doubling memcpys (every copy source is 8-aligned in the
-/// pattern) — this is the broadcast hot path, no staging copy.
-void append_synthetic_body(Encoder& enc, std::uint64_t id,
-                           std::uint32_t size) {
-  if (size == 0) return;
-  std::uint8_t pattern[8];
-  for (int i = 0; i < 8; ++i) {
-    pattern[i] = static_cast<std::uint8_t>(id >> (8 * i));
-  }
-  std::uint8_t* body = enc.grow(size);
-  const std::size_t head = std::min<std::size_t>(8, size);
-  std::memcpy(body, pattern, head);
-  std::size_t filled = head;
-  while (filled < size) {
-    const std::size_t chunk = std::min<std::size_t>(filled, size - filled);
-    std::memcpy(body + filled, body, chunk);
-    filled += chunk;
-  }
-}
 
 void Transaction::encode(Encoder& enc) const {
   enc.u64(id);
@@ -49,12 +25,6 @@ Payload Payload::referencing(std::vector<crypto::Sha256Digest> digests) {
   return payload;
 }
 
-std::uint64_t Payload::total_bytes() const {
-  std::uint64_t total = 0;
-  for (const Transaction& txn : txns) total += txn.size_bytes;
-  return total;
-}
-
 void Payload::encode(Encoder& enc) const {
   if (mode == Mode::kDigests) {
     enc.reserve(1 + 4 + batch_digests.size() * 32);
@@ -65,13 +35,12 @@ void Payload::encode(Encoder& enc) const {
     }
     return;
   }
-  enc.reserve(1 + 4 + txns.size() * Transaction::kRecordBytes +
-              total_bytes());
+  enc.reserve(1 + 4 + txns.size() * Transaction::kRecordBytes);
   enc.u8(static_cast<std::uint8_t>(mode));
   enc.u32(static_cast<std::uint32_t>(txns.size()));
   for (const Transaction& txn : txns) {
     txn.encode(enc);
-    append_synthetic_body(enc, txn.id, txn.size_bytes);
+    enc.synthetic(txn.id, txn.size_bytes);
   }
 }
 

@@ -6,8 +6,9 @@
 // wire each transaction is its record followed by `size_bytes` of body
 // bytes derived deterministically from the id, so encoded frames really
 // are block-sized — the transport charges exactly what it encodes — while
-// decoded blocks stay compact in memory (bodies are skipped on decode and
-// regenerated bit-identically on re-encode).
+// decoded blocks stay compact in memory. Encoders hold bodies as runs
+// (Encoder::synthetic), expanded only into frames and other full-byte
+// consumers (Encoder::data); decoders skip them.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,8 @@ struct Transaction {
   std::uint64_t id = 0;
   SimTime submitted_at = 0;
   /// Body size in bytes; the wire encoding carries this many synthetic
-  /// body bytes (derived from `id`) after the record.
+  /// body bytes (derived from `id`, see Encoder::synthetic) after the
+  /// record.
   std::uint32_t size_bytes = 0;
 
   /// Record bytes per transaction on the wire (id + submitted_at +
@@ -37,13 +39,6 @@ struct Transaction {
 
   friend bool operator==(const Transaction&, const Transaction&) = default;
 };
-
-/// Appends `size` synthetic body bytes for transaction `id` to the encoder
-/// (the little-endian id repeated). A pure function of the record, so
-/// decoders skip the body and re-encoding regenerates it bit-identically.
-/// Shared by Payload and dissem::Batch — the two wire containers that carry
-/// full transaction bodies.
-void append_synthetic_body(Encoder& enc, std::uint64_t id, std::uint32_t size);
 
 /// The ordered batch of transactions inside one block — either carried
 /// inline (the classic mode: full transaction records + synthetic bodies on
@@ -64,13 +59,11 @@ struct Payload {
   /// Builds a digest-mode payload referencing `digests`, in order.
   static Payload referencing(std::vector<crypto::Sha256Digest> digests);
 
-  [[nodiscard]] std::uint64_t total_bytes() const;
-
   /// Canonical wire encoding: a one-byte mode tag, then either the inline
-  /// form (count, then per transaction the record followed by `size_bytes`
-  /// of deterministic body bytes) or the digest form (count + 32-byte batch
-  /// digests). decode() skips inline bodies (they are a pure function of
-  /// the record) and re-encoding a decoded payload is byte-identical.
+  /// form (count, then per transaction the record followed by its
+  /// synthetic body, as an Encoder run) or the digest form (count + 32-byte
+  /// batch digests). decode() skips inline bodies (they are a pure function
+  /// of the record) and re-encoding a decoded payload is byte-identical.
   void encode(Encoder& enc) const;
   static Payload decode(Decoder& dec);
 

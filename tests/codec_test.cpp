@@ -97,5 +97,132 @@ TEST(Codec, RemainingTracksPosition) {
   EXPECT_EQ(dec.remaining(), 8u);
 }
 
+TEST(Codec, ReserveKeepsAmortizedGrowth) {
+  // Container encodes reserve once per element; each reserve that must
+  // grow the buffer at least doubles it, so n elements cost O(log n)
+  // reallocations instead of one (and a full copy) per element.
+  Encoder enc;
+  const std::uint8_t* buffer = nullptr;
+  int reallocations = 0;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    enc.reserve(8);
+    enc.u64(i);
+    const std::uint8_t* now = enc.data().data();
+    if (buffer != nullptr && now != buffer) ++reallocations;
+    buffer = now;
+  }
+  EXPECT_LE(reallocations, 12);
+  EXPECT_EQ(enc.data().size(), 8000u);
+}
+
+/// u32 7, a 16-byte body of id 0x0102, u32 9.
+Encoder body_between_words() {
+  Encoder enc;
+  enc.u32(7);
+  enc.synthetic(0x0102, 16);
+  enc.u32(9);
+  return enc;
+}
+
+TEST(Codec, SyntheticRunsExpandOnlyOnDemand) {
+  Encoder expanded = body_between_words();
+  EXPECT_EQ(expanded.size(), 24u);
+  Bytes want = {7, 0, 0, 0};
+  for (int copy = 0; copy < 2; ++copy) {
+    want.insert(want.end(), {0x02, 0x01, 0, 0, 0, 0, 0, 0});
+  }
+  want.insert(want.end(), {9, 0, 0, 0});
+  EXPECT_EQ(expanded.data(), want);
+
+  // The compact form writes no body byte; a decoder given its runs reads
+  // it as it reads the expanded bytes.
+  const CompactBytes compact = body_between_words().take_compact();
+  EXPECT_EQ(compact.literal, (Bytes{7, 0, 0, 0, 9, 0, 0, 0}));
+  ASSERT_EQ(compact.runs.size(), 1u);
+  EXPECT_EQ(compact.runs[0], (BodyRun{.offset = 4, .id = 0x0102, .size = 16}));
+  for (const bool use_runs : {false, true}) {
+    Decoder dec = use_runs ? Decoder(compact.literal, compact.runs)
+                           : Decoder(want);
+    EXPECT_EQ(dec.remaining(), 24u);
+    EXPECT_EQ(dec.u32(), 7u);
+    EXPECT_FALSE(dec.exhausted());
+    dec.skip(16);
+    EXPECT_EQ(dec.remaining(), 4u);
+    EXPECT_EQ(dec.u32(), 9u);
+    EXPECT_TRUE(dec.exhausted());
+  }
+}
+
+TEST(Codec, CompactDecoderRejectsReadIntoBody) {
+  const CompactBytes compact = body_between_words().take_compact();
+  const auto at_body = [&compact] {
+    Decoder dec(compact.literal, compact.runs);
+    dec.u32();
+    return dec;
+  };
+  EXPECT_THROW(at_body().u8(), CodecError);
+  EXPECT_THROW(at_body().u64(), CodecError);
+  EXPECT_THROW(at_body().raw(1), CodecError);
+  EXPECT_THROW(at_body().bytes(), CodecError);
+  // A read that starts before the body and runs into it.
+  Decoder crossing(compact.literal, compact.runs);
+  crossing.u16();
+  EXPECT_THROW(crossing.u32(), CodecError);
+  // The same reads of the expanded bytes succeed: only the compact form
+  // forbids them.
+  Encoder full = body_between_words();
+  Decoder expanded(full.data());
+  expanded.u32();
+  EXPECT_NO_THROW(expanded.u64());
+}
+
+TEST(Codec, SkipMustMatchBodySize) {
+  const CompactBytes compact = body_between_words().take_compact();
+  for (const std::size_t size : {1, 15, 17, 20}) {
+    Decoder dec(compact.literal, compact.runs);
+    dec.u32();
+    EXPECT_THROW(dec.skip(size), CodecError) << size;
+  }
+  // A skip that starts before the body must not cover part of it either.
+  Decoder early(compact.literal, compact.runs);
+  EXPECT_THROW(early.skip(20), CodecError);
+  Decoder exact(compact.literal, compact.runs);
+  exact.u32();
+  exact.skip(0);  // skipping nothing consumes no run
+  exact.skip(16);
+  EXPECT_EQ(exact.u32(), 9u);
+  EXPECT_TRUE(exact.exhausted());
+}
+
+TEST(Codec, CountBoundIncludesBodyBytes) {
+  // A count followed by three 8-byte records, each with a 100-byte body:
+  // 324 bytes remain after the count, only 24 of them literal.
+  const auto encode = [](std::uint32_t count) {
+    Encoder enc;
+    enc.u32(count);
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      enc.u64(id);
+      enc.synthetic(id, 100);
+    }
+    return enc;
+  };
+  const auto verdict = [](Decoder dec) {
+    try {
+      (void)dec.count(8);
+      return true;
+    } catch (const CodecError&) {
+      return false;
+    }
+  };
+  for (const std::uint32_t count : {0u, 3u, 4u, 40u, 41u, 0xFFFFFFFFu}) {
+    Encoder materialized = encode(count);
+    const CompactBytes compact = encode(count).take_compact();
+    const bool want = verdict(Decoder(materialized.data()));
+    EXPECT_EQ(verdict(Decoder(compact.literal, compact.runs)), want)
+        << count;
+    EXPECT_EQ(want, count <= 40u) << count;
+  }
+}
+
 }  // namespace
 }  // namespace sftbft

@@ -33,6 +33,10 @@ Batch make_batch(ReplicaId creator, std::uint64_t seq,
   return batch;
 }
 
+std::shared_ptr<const Batch> shared(Batch batch) {
+  return std::make_shared<const Batch>(std::move(batch));
+}
+
 // ------------------------------------------------------------------ Batch
 
 TEST(Batch, DigestBindsContents) {
@@ -70,9 +74,9 @@ TEST(BatchStore, ProposableStateMachine) {
   BatchStore store(0);
   const Batch a = make_batch(0, 0, {1});
   const Batch b = make_batch(0, 1, {2});
-  EXPECT_TRUE(store.add(a));
-  EXPECT_FALSE(store.add(a));  // idempotent by digest
-  EXPECT_TRUE(store.add(b));
+  EXPECT_TRUE(store.add(shared(a)));
+  EXPECT_FALSE(store.add(shared(a)));  // idempotent by digest
+  EXPECT_TRUE(store.add(shared(b)));
   EXPECT_EQ(store.proposable(), 2u);
 
   // make_payload drains oldest-first and marks the batches Proposed.
@@ -100,7 +104,7 @@ TEST(BatchStore, ObserveReferenceParksBatchesProposed) {
   // replica from re-proposing it while that proposal is in flight.
   BatchStore store(0);
   const Batch a = make_batch(1, 0, {5});
-  store.add(a);
+  store.add(shared(a));
   store.observe_reference(types::Payload::referencing({a.digest}), 0);
   EXPECT_EQ(store.proposable(), 0u);
 }
@@ -109,8 +113,8 @@ TEST(BatchStore, CommitResolutionDedupsAcrossForks) {
   BatchStore store(0);
   const Batch a = make_batch(0, 0, {1, 2});
   const Batch b = make_batch(1, 0, {3});
-  store.add(a);
-  store.add(b);
+  store.add(shared(a));
+  store.add(shared(b));
 
   // Two competing blocks referenced batch `a`; its txns count exactly once.
   std::vector<crypto::Sha256Digest> missing;
@@ -140,7 +144,7 @@ TEST(BatchStore, LateBatchForCommittedDigestFilesAsCommitted) {
   ASSERT_EQ(missing.size(), 1u);
   EXPECT_EQ(missing[0], late.digest);
 
-  EXPECT_TRUE(store.add(late));
+  EXPECT_TRUE(store.add(shared(late)));
   EXPECT_EQ(store.proposable(), 0u);
   EXPECT_EQ(store.committed_batches(), 1u);
   // Re-resolving is a no-op (the digest is already counted).
@@ -172,8 +176,8 @@ TEST(Committer, OnlyOwnBatchesReachTheMempool) {
   own.txns = pool.make_batch(3).txns;
   own.seal();
   const Batch foreign = make_batch(2, 0, {kForeign, kForeign | 1});
-  store.add(foreign);
-  store.add(own);
+  store.add(shared(foreign));
+  store.add(shared(own));
   ASSERT_EQ(pool.in_flight(), 3u);
 
   types::Block block;
@@ -202,7 +206,7 @@ TEST(Payloads, TimedOutPayloadReturnsWhereItCameFrom) {
   mempool::Mempool pool;
   BatchStore store(0);
   core::Payloads payloads(pool, store, DissemConfig{}, {});
-  store.add(make_batch(1, 0, {7}));
+  store.add(shared(make_batch(1, 0, {7})));
 
   const types::Payload digests = payloads.make(1000, /*now=*/0);
   ASSERT_TRUE(digests.is_digests());
@@ -412,6 +416,29 @@ TEST(BatchBroadcaster, TamperedBatchIsRejected) {
     EXPECT_TRUE(planes[id].store.has(valid.digest));
     EXPECT_FALSE(planes[id].store.has(forged.digest));
     EXPECT_EQ(planes[id].arrivals, 1u);
+  }
+}
+
+TEST(BatchBroadcaster, CleanRecipientsStoreOneSharedBatch) {
+  // Every clean recipient of one broadcast push files the same immutable
+  // Batch (the one CheckedPush decoded), not a private copy.
+  sim::Scheduler sched;
+  net::SimTransport transport(sched, net::Topology::uniform(4, millis(1)),
+                              {}, 4);
+  DissemConfig config;
+  Plane planes[4];
+  for (ReplicaId id = 0; id < 4; ++id) planes[id].wire(id, transport, config);
+
+  const Batch batch = make_batch(0, 0, {1, 2, 3});
+  transport.broadcast(net::Envelope::pack(net::WireType::kBatchPush, 0,
+                                          BatchPush{batch}),
+                      /*include_self=*/false);
+  sched.run_until_idle();
+  const Batch* shared = planes[1].store.find(batch.digest);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(*shared, batch);
+  for (ReplicaId id = 2; id < 4; ++id) {
+    EXPECT_EQ(planes[id].store.find(batch.digest), shared);
   }
 }
 

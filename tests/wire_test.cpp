@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sftbft/common/rng.hpp"
@@ -269,14 +271,75 @@ std::vector<Envelope> all_message_envelopes(Rng& rng) {
   };
 }
 
+/// Calls `f(M{})` with the message type M an envelope of `type` carries.
+template <typename F>
+void visit_message_type(WireType type, F&& f) {
+  switch (type) {
+    case WireType::kProposal:
+    case WireType::kHProposal:
+      return f(types::Proposal{});
+    case WireType::kVote:
+    case WireType::kHVote:
+      return f(types::Vote{});
+    case WireType::kTimeout:
+    case WireType::kHTimeout:
+      return f(types::TimeoutMsg{});
+    case WireType::kSyncRequest:
+    case WireType::kHSyncRequest:
+      return f(types::SyncRequest{});
+    case WireType::kSyncResponse:
+    case WireType::kHSyncResponse:
+      return f(types::SyncResponse{});
+    case WireType::kSProposal:
+      return f(streamlet::SProposal{});
+    case WireType::kSVote:
+      return f(streamlet::SVote{});
+    case WireType::kSSyncRequest:
+      return f(streamlet::SSyncRequest{});
+    case WireType::kSSyncResponse:
+      return f(streamlet::SSyncResponse{});
+    case WireType::kBatchPush:
+      return f(dissem::BatchPush{});
+    case WireType::kBatchRequest:
+      return f(dissem::BatchRequest{});
+    case WireType::kBatchResponse:
+      return f(dissem::BatchResponse{});
+  }
+  FAIL() << "unregistered wire type";
+}
+
+/// The envelopes of all_message_envelopes plus the chained HotStuff tags
+/// (same payload codecs as the DiemBFT ones): every registered tag.
+std::vector<Envelope> every_tag_envelopes(Rng& rng) {
+  std::vector<Envelope> envs = all_message_envelopes(rng);
+  const std::pair<WireType, WireType> hotstuff[] = {
+      {WireType::kProposal, WireType::kHProposal},
+      {WireType::kVote, WireType::kHVote},
+      {WireType::kTimeout, WireType::kHTimeout},
+      {WireType::kSyncRequest, WireType::kHSyncRequest},
+      {WireType::kSyncResponse, WireType::kHSyncResponse}};
+  const std::size_t base = envs.size();
+  for (std::size_t i = 0; i < base; ++i) {
+    for (const auto& [diem, hs] : hotstuff) {
+      if (envs[i].type != diem) continue;
+      Envelope retagged = envs[i];
+      retagged.type = hs;
+      envs.push_back(std::move(retagged));
+    }
+  }
+  return envs;
+}
+
 // ---------------------------------------------------------------- parity
 
 TEST(WireParity, ChargedBytesEqualCanonicalEncodingForEveryType) {
-  // The acceptance check of the refactor: for every message type on both
-  // stacks, the size the transport charges (send-side stats AND the
-  // receiver's frame accounting) is exactly encode().size(), and
-  // encoded_size() (which the transport charges) computes it without
-  // building the frame.
+  // The acceptance check of the refactor: for every registered tag, the
+  // size the transport charges (send-side stats AND the receiver's frame
+  // accounting) is exactly encode().size(), and encoded_size() (which the
+  // transport charges) computes it without building the frame. A packed
+  // envelope keeps its bodies as runs; the frame expands them, and the
+  // decoded frame (all literal bytes) equals the compact envelope and
+  // unpacks to the same message.
   Rng rng(2024);
   sim::Scheduler sched;
   SimTransport transport(sched, net::Topology::uniform(7, millis(1)), {}, 1);
@@ -288,10 +351,22 @@ TEST(WireParity, ChargedBytesEqualCanonicalEncodingForEveryType) {
 
   std::uint64_t expected_bytes = 0;
   std::uint64_t sent = 0;
+  std::set<WireType> tags;
+  bool saw_runs = false;
   for (int round = 0; round < 5; ++round) {
-    for (Envelope& env : all_message_envelopes(rng)) {
-      const std::size_t canonical = env.encode().size();
-      EXPECT_EQ(env.encoded_size(), env.encode().size());
+    for (Envelope& env : every_tag_envelopes(rng)) {
+      const Bytes frame = env.encode();
+      const std::size_t canonical = frame.size();
+      EXPECT_EQ(env.encoded_size(), canonical);
+      const Envelope decoded = Envelope::decode(BytesView(frame));
+      EXPECT_TRUE(decoded.bodies.empty());
+      EXPECT_EQ(decoded, env);
+      visit_message_type(env.type, [&](auto tag) {
+        using M = decltype(tag);
+        EXPECT_EQ(env.unpack<M>(), decoded.unpack<M>());
+      });
+      tags.insert(env.type);
+      saw_runs = saw_runs || !env.bodies.empty();
       expected_bytes += canonical;
       ++sent;
       transport.send(1, std::move(env));
@@ -299,6 +374,12 @@ TEST(WireParity, ChargedBytesEqualCanonicalEncodingForEveryType) {
   }
   sched.run_until_idle();
 
+  for (int tag = 0; tag < 256; ++tag) {
+    if (net::wire_type_known(static_cast<std::uint8_t>(tag))) {
+      EXPECT_TRUE(tags.contains(static_cast<WireType>(tag))) << tag;
+    }
+  }
+  EXPECT_TRUE(saw_runs);
   EXPECT_EQ(transport.stats().total_count(), sent);
   EXPECT_EQ(transport.stats().total_bytes(), expected_bytes);
   ASSERT_EQ(received.size(), sent);
@@ -322,6 +403,9 @@ TEST(WireParity, PayloadBodiesAreOnTheWire) {
   const Envelope env = Envelope::pack(WireType::kProposal, 0, proposal);
   EXPECT_GE(env.encode().size(), 450'000u);
   EXPECT_EQ(env.encoded_size(), env.encode().size());
+  // The packed envelope holds the bodies as runs, not bytes.
+  EXPECT_EQ(env.bodies.size(), 100u);
+  EXPECT_LT(env.payload.size(), 10'000u);
 }
 
 // ------------------------------------------------------------- round trip
@@ -335,56 +419,10 @@ TEST(WireRoundTrip, AllTypesReencodeByteIdentically) {
       EXPECT_EQ(decoded, env);
       // Re-encode the decoded *message* too: payload -> typed -> payload.
       Envelope rebuilt = decoded;
-      switch (env.type) {
-        case WireType::kProposal:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<types::Proposal>());
-          break;
-        case WireType::kVote:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<types::Vote>());
-          break;
-        case WireType::kTimeout:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<types::TimeoutMsg>());
-          break;
-        case WireType::kSyncRequest:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<types::SyncRequest>());
-          break;
-        case WireType::kSyncResponse:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<types::SyncResponse>());
-          break;
-        case WireType::kSProposal:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<streamlet::SProposal>());
-          break;
-        case WireType::kSVote:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<streamlet::SVote>());
-          break;
-        case WireType::kSSyncRequest:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<streamlet::SSyncRequest>());
-          break;
-        case WireType::kSSyncResponse:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<streamlet::SSyncResponse>());
-          break;
-        case WireType::kBatchPush:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<dissem::BatchPush>());
-          break;
-        case WireType::kBatchRequest:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<dissem::BatchRequest>());
-          break;
-        case WireType::kBatchResponse:
-          rebuilt = Envelope::pack(env.type, env.sender,
-                                   env.unpack<dissem::BatchResponse>());
-          break;
-      }
+      visit_message_type(env.type, [&](auto tag) {
+        using M = decltype(tag);
+        rebuilt = Envelope::pack(env.type, env.sender, env.unpack<M>());
+      });
       EXPECT_EQ(rebuilt.encode(), frame);
     }
   }
