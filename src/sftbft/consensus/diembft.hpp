@@ -10,20 +10,16 @@
 // sync) is shared kernel machinery, which is the paper's genericity claim
 // (Secs. 3.2-3.4) made structural.
 //
-// This header also re-exports the kernel vocabulary under the historical
-// consensus:: names so protocol-agnostic call sites keep reading naturally.
+// This header also re-exports the kernel's mode and counting-rule enums
+// under the historical consensus:: names used by scenario and bench code.
 #pragma once
 
 #include "sftbft/core/chained_core.hpp"
 
 namespace sftbft::consensus {
 
-using core::CoreConfig;
 using core::CoreMode;
 using core::CountingRule;
-using core::SafetyRules;
-using core::StrengthUpdate;
-using core::VoteHistory;
 
 /// DiemBFT's rule set: the kernel defaults (null slots select the Fig. 2
 /// rules implemented in core::ChainedCore).

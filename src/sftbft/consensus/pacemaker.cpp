@@ -1,17 +1,15 @@
 #include "sftbft/consensus/pacemaker.hpp"
 
 #include <cassert>
-#include <cmath>
-
-#include "sftbft/obs/observer.hpp"
 
 namespace sftbft::consensus {
 
 Pacemaker::Pacemaker(sim::Scheduler& sched, PacemakerConfig config,
                      Callbacks callbacks)
-    : sched_(sched), config_(config), callbacks_(std::move(callbacks)) {
-  assert(config_.backoff >= 1.0);
-}
+    : sched_(sched),
+      config_(config),
+      callbacks_(std::move(callbacks)),
+      probe_(config.observer, config.id) {}
 
 void Pacemaker::start() {
   assert(round_ == 0);
@@ -26,12 +24,7 @@ void Pacemaker::stop() {
 
 void Pacemaker::resume(Round round) {
   stopped_ = false;
-  timed_out_ = false;
-  consecutive_timeouts_ = 0;
-  round_ = round > 0 ? round : 1;
-  arm_timer();
-  note_round_entered(round_);
-  if (callbacks_.on_round_entered) callbacks_.on_round_entered(round_);
+  enter(round > 0 ? round : 1);
 }
 
 bool Pacemaker::advance_to(Round round) {
@@ -41,54 +34,21 @@ bool Pacemaker::advance_to(Round round) {
 }
 
 void Pacemaker::enter(Round round) {
-  // Entering a round while the previous one never timed out means progress —
-  // reset the backoff; a timeout chain keeps growing the timer instead.
-  if (!timed_out_) consecutive_timeouts_ = 0;
   round_ = round;
   timed_out_ = false;
   arm_timer();
-  note_round_entered(round);
+  probe_.round_entered(round, sched_.now());
   if (callbacks_.on_round_entered) callbacks_.on_round_entered(round);
-}
-
-void Pacemaker::note_round_entered(Round round) {
-  obs::Observer* obs = config_.observer;
-  if (obs == nullptr) return;
-  obs->count(config_.id, obs::Counter::kRoundsEntered);
-  obs->gauge(config_.id, obs::Gauge::kRound,
-             static_cast<std::int64_t>(round));
-  if (obs->recording()) {
-    obs->emit(obs::instant_event("pacemaker", "round_enter", config_.id,
-                                 sched_.now(), {"round", round}));
-  }
-  if (obs->tracing()) {
-    // Counter track: the round number as a per-replica time series (lagging
-    // replicas show up as a visibly lower staircase in Perfetto).
-    obs->emit_trace_only(obs::counter_event("pacemaker", "round", config_.id,
-                                            sched_.now(), {"round", round}));
-  }
 }
 
 void Pacemaker::arm_timer() {
   sched_.cancel(timer_);
-  const double scale = std::pow(
-      config_.backoff,
-      std::min(consecutive_timeouts_, config_.max_backoff_steps));
-  const auto duration = static_cast<SimDuration>(
-      static_cast<double>(config_.base_timeout) * scale);
-  timer_ = sched_.schedule_after(duration, [this] {
+  timer_ = sched_.schedule_after(config_.base_timeout, [this] {
     timer_ = sim::kInvalidTimer;
     if (stopped_) return;
     timed_out_ = true;
-    ++consecutive_timeouts_;
     const Round expired = round_;
-    if (obs::Observer* obs = config_.observer) {
-      obs->count(config_.id, obs::Counter::kTimeoutsLocal);
-      if (obs->recording()) {
-        obs->emit(obs::instant_event("pacemaker", "timeout", config_.id,
-                                     sched_.now(), {"round", expired}));
-      }
-    }
+    probe_.timed_out(expired, sched_.now());
     if (callbacks_.on_local_timeout) callbacks_.on_local_timeout(expired);
   });
 }

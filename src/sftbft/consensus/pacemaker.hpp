@@ -5,28 +5,20 @@
 // or 2f + 1 timeout messages of round r−1 (the core observes those and calls
 // advance_to). On entering a round the pacemaker arms a timer; on expiry the
 // core stops voting in the round and multicasts ⟨timeout, r, qc_high⟩.
-// An optional backoff factor grows the timer across consecutive timeouts —
-// production pacemakers do this to re-synchronize before GST; the paper's
-// experiments use a fixed ("predefined") duration, backoff 1.0.
+// Every round's timer runs for the same "predefined duration",
+// base_timeout, as in the paper's experiments.
 #pragma once
 
 #include <functional>
 
 #include "sftbft/common/types.hpp"
+#include "sftbft/obs/lifecycle.hpp"
 #include "sftbft/sim/scheduler.hpp"
-
-namespace sftbft::obs {
-class Observer;
-}  // namespace sftbft::obs
 
 namespace sftbft::consensus {
 
 struct PacemakerConfig {
   SimDuration base_timeout = millis(3000);
-  /// Timer multiplier per consecutive timed-out round (>= 1.0).
-  double backoff = 1.0;
-  /// Cap on the backoff exponent.
-  int max_backoff_steps = 6;
   /// Observability (round entries / timeouts, attributed to `id`); null =
   /// off. The Observer outlives the core that owns this pacemaker.
   obs::Observer* observer = nullptr;
@@ -38,8 +30,7 @@ class Pacemaker {
   struct Callbacks {
     /// New round entered (propose here if leader; timer is already armed).
     std::function<void(Round)> on_round_entered;
-    /// The round timer expired (multicast a timeout message; the pacemaker
-    /// has already recorded the timeout for backoff purposes).
+    /// The round timer expired (multicast a timeout message).
     std::function<void(Round)> on_local_timeout;
   };
 
@@ -52,10 +43,10 @@ class Pacemaker {
   void stop();
 
   /// Crash recovery: re-enters service at `round` (>= 1) after a stop(),
-  /// re-arming the timer with a fresh backoff. Unlike advance_to this may
-  /// move the round "backward" — the recovered round watermark comes from
-  /// durable state, and the cluster's true round is re-learned via sync
-  /// (voting safety is guarded separately by SafetyRules' restored r_vote).
+  /// re-arming the timer. Unlike advance_to this may move the round
+  /// "backward" — the recovered round watermark comes from durable state,
+  /// and the cluster's true round is re-learned via sync (voting safety is
+  /// guarded separately by SafetyRules' restored r_vote).
   void resume(Round round);
 
   [[nodiscard]] Round current_round() const { return round_; }
@@ -70,14 +61,13 @@ class Pacemaker {
  private:
   void enter(Round round);
   void arm_timer();
-  void note_round_entered(Round round);
 
   sim::Scheduler& sched_;
   PacemakerConfig config_;
   Callbacks callbacks_;
+  obs::LifecycleProbe probe_;
   Round round_ = 0;
   bool timed_out_ = false;
-  int consecutive_timeouts_ = 0;
   sim::TimerId timer_ = sim::kInvalidTimer;
   bool stopped_ = false;
 };

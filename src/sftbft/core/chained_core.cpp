@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "sftbft/common/logging.hpp"
-#include "sftbft/obs/observer.hpp"
 
 namespace sftbft::core {
 
@@ -36,7 +35,6 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
       pacemaker_(
           sched,
           PacemakerConfig{.base_timeout = config.base_timeout,
-                          .backoff = config.timeout_backoff,
                           .observer = config.observer,
                           .id = config.id},
           Pacemaker::Callbacks{
@@ -44,6 +42,7 @@ ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
               .on_local_timeout = [this](Round r) { on_local_timeout(r); }}),
       committer_(tree_, ledger_, payloads, sched, config.observer, config.id,
                  config.f()),
+      probe_(config.observer, config.id),
       sync_(SyncClient::Config{.id = config.id,
                                .n = config.n,
                                .retry_after = config.base_timeout,
@@ -300,21 +299,7 @@ void ChainedCore::propose(Round round) {
 
   last_proposed_payload_ = {round, block.payload};
   sent_proposals_.push_back(proposal);
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kProposalsSent);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "proposed", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", round}, {"height", block.height}));
-    }
-    if (obs->tracing()) {
-      // Backpressure counter track: what the leader's mempool looked like
-      // right after draining this block's batch.
-      obs->emit_trace_only(obs::counter_event(
-          "mempool", "mempool_depth", config_.id, sched_.now(),
-          {"pending", static_cast<std::uint64_t>(payloads_.pending())}));
-    }
-  }
+  probe_.proposed(block, sched_.now(), payloads_.pending());
   hooks_.broadcast_proposal(proposal);
 }
 
@@ -369,15 +354,7 @@ void ChainedCore::on_proposal(const Proposal& proposal) {
   const auto inserted = tree_.insert(block);
   if (inserted != chain::BlockTree::InsertResult::Inserted) return;
 
-  // Proposal arrival milestone (critical-path "proposal transit"). The
-  // proposer's own loopback delivery is excluded — it would zero the
-  // transit segment for every block.
-  if (obs::Observer* obs = config_.observer;
-      obs != nullptr && obs->recording() && block.proposer != config_.id) {
-    obs->emit(obs::span_event("block", "received", config_.id, block.height,
-                              block.created_at, sched_.now(),
-                              {"round", block.round}));
-  }
+  probe_.received(block, sched_.now());
 
   // Locking rule + SFT endorsements + commit rules + Sec. 5 cache.
   observe_qc(block.qc, /*canonical=*/true);
@@ -441,14 +418,7 @@ void ChainedCore::retry_awaiting_payloads() {
   // maybe_vote re-checks round/voted state itself, so a parked block whose
   // moment has passed is a silent no-op.
   for (const types::Block& block : ready) {
-    // Dissem availability-wait milestone: the batches this block references
-    // are finally local (critical-path "dissem wait" ends here).
-    if (obs::Observer* obs = config_.observer;
-        obs != nullptr && obs->recording()) {
-      obs->emit(obs::instant_event("dissem", "payload_ready", config_.id,
-                                   sched_.now(), {"round", block.round},
-                                   {"height", block.height}));
-    }
+    probe_.payload_ready(block, sched_.now());
     maybe_vote(block);
   }
 }
@@ -479,14 +449,7 @@ void ChainedCore::maybe_vote(const Block& block) {
   // WAL before wire: the vote must be durable before it can reach anyone,
   // or a crash-restart could vote twice in the round.
   persist_vote(&block, block.round);
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kVotesSent);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "voted", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", block.round}));
-    }
-  }
+  probe_.voted(block, sched_.now());
   hooks_.send_vote(election_.leader_of(block.round + 1), vote);
 }
 
@@ -523,18 +486,10 @@ void ChainedCore::observe_qc(const QuorumCert& qc, bool canonical) {
       hooks_.on_canonical_qc(*certified, qc);
     }
   }
-  if (obs::Observer* obs = config_.observer;
-      obs != nullptr && canonical && !qc.is_genesis()) {
+  if (probe_.enabled() && canonical && !qc.is_genesis()) {
     if (const Block* certified = tree_.get(qc.block_id);
         certified != nullptr && obs_certified_.insert(qc.block_id).second) {
-      obs->count(config_.id, obs::Counter::kBlocksCertified);
-      obs->observe(config_.id, obs::Hist::kCertifyLatencyUs,
-                   sched_.now() - certified->created_at);
-      if (obs->recording()) {
-        obs->emit(obs::span_event("block", "certified", config_.id,
-                                  certified->height, certified->created_at,
-                                  sched_.now(), {"round", certified->round}));
-      }
+      probe_.certified(*certified, sched_.now());
     }
   }
   if (canonical && tracker_) {
@@ -608,13 +563,10 @@ void ChainedCore::add_to_aggregator(const Vote& vote) {
     return;
   }
   if (pending.by_voter.emplace(vote.voter, vote).second) {
-    // Vote-arrival ordinals (the paper's strength clock): stamp the moment
-    // the (f+1)-th and (2f+1)-th distinct votes landed. The histograms are
-    // materialized at finalize_qc, when the block (and its created_at) is
-    // guaranteed known.
-    const std::size_t distinct = pending.by_voter.size();
-    if (distinct == config_.f() + 1) pending.f1_at = sched_.now();
-    if (distinct == config_.quorum()) pending.quorum_at = sched_.now();
+    // The histograms are materialized at finalize_qc, when the block (and
+    // its created_at) is guaranteed known.
+    pending.clock.note(pending.by_voter.size(), config_.f(), config_.quorum(),
+                       sched_.now());
   }
   try_finalize_qc(vote.round, vote.block_id);
 }
@@ -664,26 +616,7 @@ void ChainedCore::finalize_qc(Round round, const BlockId& block_id) {
   const Block* block = tree_.get(block_id);
   if (block == nullptr) return;  // restored mid-flight: block no longer known
 
-  if (obs::Observer* obs = config_.observer) {
-    if (pending.f1_at > 0) {
-      obs->observe(config_.id, obs::Hist::kVoteF1LatencyUs,
-                   pending.f1_at - block->created_at);
-      if (obs->recording()) {
-        obs->emit(obs::instant_event("block", "vote_f1", config_.id,
-                                     pending.f1_at, {"round", round},
-                                     {"height", block->height}));
-      }
-    }
-    if (pending.quorum_at > 0) {
-      obs->observe(config_.id, obs::Hist::kVoteQuorumLatencyUs,
-                   pending.quorum_at - block->created_at);
-      if (obs->recording()) {
-        obs->emit(obs::instant_event("block", "vote_quorum", config_.id,
-                                     pending.quorum_at, {"round", round},
-                                     {"height", block->height}));
-      }
-    }
-  }
+  probe_.votes_gathered(*block, pending.clock);
 
   QuorumCert qc;
   qc.block_id = block_id;
@@ -789,7 +722,7 @@ bool ChainedCore::validate_proposal(const Proposal& proposal) const {
 }
 
 bool ChainedCore::validate_commit_log(const Proposal& proposal) {
-  if (!config_.verify_commit_log || !tracker_) return true;
+  if (!config_.attach_commit_log || !tracker_) return true;
   // Post-restore grace (see trust_commit_log_below_): the rebuilt tracker
   // cannot re-derive pre-crash strengths, and rejecting every log-bearing
   // proposal would keep the replica out of the cluster forever.

@@ -52,13 +52,10 @@
 #include "sftbft/core/vote_history.hpp"
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
+#include "sftbft/obs/lifecycle.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
 #include "sftbft/types/proposal.hpp"
-
-namespace sftbft::obs {
-class Observer;
-}  // namespace sftbft::obs
 
 namespace sftbft::core {
 
@@ -99,7 +96,6 @@ struct CoreConfig {
 
   /// Round timer (Fig. 2 "predefined duration").
   SimDuration base_timeout = millis(3000);
-  double timeout_backoff = 1.0;
 
   /// Modelled leader-side processing (block execution, batching, signature
   /// checks) between QC availability and the proposal broadcast. This is the
@@ -118,10 +114,10 @@ struct CoreConfig {
   /// Interval-vote window (Sec. 3.4): 0 = full history [1, r].
   Round interval_window = 0;
 
-  /// Sec. 5: attach strong-commit Log entries to proposals / verify them
-  /// before voting.
+  /// Sec. 5: attach strong-commit Log entries to proposals, and verify the
+  /// Logs of received proposals before voting. One switch: a replica that
+  /// attaches Logs also verifies them.
   bool attach_commit_log = true;
-  bool verify_commit_log = true;
 
   /// Verify signatures on inbound messages. On by default; large-n sweeps
   /// may disable to trade fidelity for wall-clock (noted per experiment).
@@ -295,6 +291,7 @@ class ChainedCore {
   VoteHistory history_;
   consensus::Pacemaker pacemaker_;
   Committer committer_;
+  obs::LifecycleProbe probe_;
   SyncClient sync_;
   std::unique_ptr<StrengthTracker> tracker_;  // null in Plain mode
   storage::ReplicaStore* store_;  // null = no persistence
@@ -319,10 +316,7 @@ class ChainedCore {
     std::map<ReplicaId, types::Vote> by_voter;
     sim::TimerId extra_wait_timer = sim::kInvalidTimer;
     bool finalized = false;
-    /// Vote-arrival ordinals (the paper's strength clock): sim time when the
-    /// (f+1)-th / (2f+1)-th distinct vote landed; 0 = not reached yet.
-    SimTime f1_at = 0;
-    SimTime quorum_at = 0;
+    obs::VoteClock clock;
   };
   std::map<Round, std::unordered_map<types::BlockId, PendingVotes>> votes_;
 

@@ -12,7 +12,7 @@
 #include "sftbft/chain/ledger.hpp"
 #include "sftbft/common/types.hpp"
 #include "sftbft/core/payloads.hpp"
-#include "sftbft/obs/observer.hpp"
+#include "sftbft/obs/lifecycle.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
 
@@ -32,7 +32,7 @@ class Committer {
             Payloads& payloads, sim::Scheduler& sched,
             obs::Observer* observer, ReplicaId id, std::uint32_t f)
       : tree_(&tree), ledger_(&ledger), payloads_(&payloads), sched_(&sched),
-        observer_(observer), id_(id), f_(f) {}
+        probe_(observer, id), f_(f) {}
 
   /// `store` may be null (no persistence).
   void set_store(storage::ReplicaStore* store) { store_ = store; }
@@ -63,38 +63,18 @@ class Committer {
           ledger_->commit(*block, strength, sched_->now(), txn_count);
       if (result == chain::Ledger::CommitResult::NoChange) break;
       if (store_) store_->record_commit(ledger_->at(block->height));
-      notify(*block, strength, sched_->now());
+      probe_.committed(*block, strength, f_, sched_->now());
+      if (on_commit_) on_commit_(*block, strength, sched_->now());
     }
     if (snapshot_hook_) snapshot_hook_();
   }
 
  private:
-  void notify(const types::Block& block, std::uint32_t strength, SimTime now) {
-    if (observer_ != nullptr) {
-      const SimDuration latency = now - block.created_at;
-      if (strength <= f_) {
-        observer_->count(id_, obs::Counter::kCommits);
-        observer_->observe(id_, obs::Hist::kCommitLatencyUs, latency);
-      } else {
-        observer_->count(id_, obs::Counter::kStrongCommits);
-        observer_->observe(id_, obs::Hist::kStrongCommitLatencyUs, latency);
-      }
-      if (observer_->recording()) {
-        observer_->emit(obs::span_event(
-            "block", strength <= f_ ? "committed" : "strong_commit", id_,
-            block.height, block.created_at, now, {"round", block.round},
-            {"strength", strength}));
-      }
-    }
-    if (on_commit_) on_commit_(block, strength, now);
-  }
-
   const chain::BlockTree* tree_;
   chain::Ledger* ledger_;
   Payloads* payloads_;
   sim::Scheduler* sched_;
-  obs::Observer* observer_;
-  ReplicaId id_;
+  obs::LifecycleProbe probe_;
   std::uint32_t f_;
   storage::ReplicaStore* store_ = nullptr;
   OnCommit on_commit_;

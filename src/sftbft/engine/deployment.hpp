@@ -46,7 +46,7 @@ struct DeploymentConfig {
   /// in per replica; the protocol's rule set is stamped by the host).
   /// Used when is_chained(protocol) — i.e. DiemBFT and HotStuff share one
   /// knob surface, which is what keeps their comparisons honest.
-  consensus::CoreConfig chained;
+  core::CoreConfig chained;
   /// Template for every Streamlet replica's core config (id/n filled in per
   /// replica; used when protocol == Protocol::Streamlet).
   streamlet::StreamletConfig streamlet;

@@ -282,7 +282,6 @@ engine::DeploymentConfig Scenario::to_deployment_config() const {
   // which differs per replica, so its proposals cannot carry a Log that
   // every honest replica can validate — disable Sec. 5 there.
   deployment.chained.attach_commit_log = attach_commit_log && !fbft;
-  deployment.chained.verify_commit_log = attach_commit_log && !fbft;
   deployment.chained.verify_signatures = verify_signatures;
 
   deployment.streamlet.delta_bound = streamlet_delta_bound;

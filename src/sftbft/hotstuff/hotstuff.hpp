@@ -25,8 +25,9 @@
 //    a block is decided exactly when it heads a 3-chain with consecutive
 //    rounds, which is the kernel's commit rule verbatim.
 //  * Pacemaker — round synchronization by higher QC/TC, as in the kernel
-//    (LibraBFT-style; the original's exponential new-view backoff maps to
-//    CoreConfig::timeout_backoff).
+//    (LibraBFT-style) with a fixed round timer; the original's exponential
+//    new-view backoff is not modelled (the paper's experiments use a
+//    predefined timeout).
 //
 // The SFT strong-vote extension applies unchanged: HotStuff strong-votes
 // carry the same round markers / interval sets, and the strong 3-chain rule

@@ -6,9 +6,13 @@
 #include <map>
 #include <utility>
 
+#include "sftbft/obs/lifecycle.hpp"
+
 namespace sftbft::obs {
 
 namespace {
+
+namespace lc = lifecycle;
 
 constexpr SimTime kUnset = std::numeric_limits<SimTime>::max();
 
@@ -112,41 +116,41 @@ CriticalPathResult CriticalPathAnalyzer::analyze(
   };
 
   for (const TraceEvent& event : events) {
-    if (event.phase == 'X' && std::strcmp(event.category, "block") == 0) {
+    if (event.phase == 'X' && std::strcmp(event.category, lc::kBlock) == 0) {
       std::uint64_t round = 0;
-      if (!find_arg(event, "round", round)) continue;
+      if (!find_arg(event, lc::kRound, round)) continue;
       const BlockKey key{event.lane, round};
       Milestones& m = milestones_for(key);
       // Every lifecycle span starts at block.created_at.
       keep_min(m.created, event.ts);
       const SimTime end = event.ts + event.dur;
       const char* name = event.name;
-      if (std::strcmp(name, "received") == 0) {
+      if (std::strcmp(name, lc::kReceived) == 0) {
         keep_min(m.received, end);
-      } else if (std::strcmp(name, "certified") == 0) {
+      } else if (std::strcmp(name, lc::kCertified) == 0) {
         keep_min(m.certified, end);
       } else if (event.replica == observer &&
-                 (std::strcmp(name, "committed") == 0 ||
-                  std::strcmp(name, "strong_commit") == 0)) {
+                 (std::strcmp(name, lc::kCommitted) == 0 ||
+                  std::strcmp(name, lc::kStrongCommit) == 0)) {
         auto [it, inserted] = commits.try_emplace(key, end);
         if (!inserted) it->second = std::min(it->second, end);
       }
     } else if (event.phase == 'i') {
       std::uint64_t round = 0;
       std::uint64_t height = 0;
-      if (!find_arg(event, "round", round) ||
-          !find_arg(event, "height", height)) {
+      if (!find_arg(event, lc::kRound, round) ||
+          !find_arg(event, lc::kHeight, height)) {
         continue;
       }
       const BlockKey key{height, round};
       const char* name = event.name;
-      if (std::strcmp(event.category, "dissem") == 0 &&
-          std::strcmp(name, "payload_ready") == 0) {
+      if (std::strcmp(event.category, lc::kDissem) == 0 &&
+          std::strcmp(name, lc::kPayloadReady) == 0) {
         keep_min(milestones_for(key).payload_ready, event.ts);
-      } else if (std::strcmp(event.category, "block") == 0) {
-        if (std::strcmp(name, "vote_f1") == 0) {
+      } else if (std::strcmp(event.category, lc::kBlock) == 0) {
+        if (std::strcmp(name, lc::kVoteF1) == 0) {
           keep_min(milestones_for(key).f1, event.ts);
-        } else if (std::strcmp(name, "vote_quorum") == 0) {
+        } else if (std::strcmp(name, lc::kVoteQuorum) == 0) {
           keep_min(milestones_for(key).quorum, event.ts);
         }
       }

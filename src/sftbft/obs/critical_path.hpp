@@ -4,7 +4,8 @@
 //
 // The trace's block-lifecycle spans all start at the block's creation time
 // (see trace.hpp), so the cluster-wide milestones of one certify cycle are
-// directly readable:
+// directly readable. Their writer and the names compared here live in one
+// place, obs::LifecycleProbe (lifecycle.hpp):
 //
 //   created ──▶ received ──▶ payload_ready ──▶ vote_f1 ──▶ vote_quorum ──▶ certified
 //              (transit)     (dissem wait)     (gather)    (stragglers)    (QC form)

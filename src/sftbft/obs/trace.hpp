@@ -14,7 +14,9 @@
 // which is exactly the paper's latency definition rendered as a timeline.
 // Everything else (pacemaker round entries/timeouts, sync rounds, batch
 // lifecycle, WAL/snapshot writes, admission rejections) is an "i" (instant)
-// event.
+// event. The block stages, the vote-arrival instants and the pacemaker
+// events have one writer, obs::LifecycleProbe (lifecycle.hpp), which also
+// holds their names.
 //
 // v2 adds three more phases:
 //   * "s"/"f" flow events stitch a sender-side emit site to the receiver-side

@@ -5,7 +5,6 @@
 
 #include "sftbft/common/codec.hpp"
 #include "sftbft/common/logging.hpp"
-#include "sftbft/obs/observer.hpp"
 
 namespace sftbft::streamlet {
 
@@ -181,6 +180,7 @@ StreamletCore::StreamletCore(
       history_(tree_),
       committer_(tree_, ledger_, payloads, sched, config.observer, config.id,
                  config.f()),
+      probe_(config.observer, config.id),
       sync_(core::SyncClient::Config{.id = config.id,
                                      .n = config.n,
                                      .retry_after = 8 * config.delta_bound,
@@ -228,22 +228,9 @@ void StreamletCore::stop() {
 void StreamletCore::on_round_tick() {
   if (stopped_) return;
   ++round_;
-  // Lock-step round entry is Streamlet's "pacemaker": same metric keys as
+  // Lock-step round entry is Streamlet's "pacemaker": same milestones as
   // the chained cores' Pacemaker so cross-engine snapshots stay comparable.
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kRoundsEntered);
-    obs->gauge(config_.id, obs::Gauge::kRound,
-               static_cast<std::int64_t>(round_));
-    if (obs->recording()) {
-      obs->emit(obs::instant_event("pacemaker", "round_enter", config_.id,
-                                   sched_.now(), {"round", round_}));
-    }
-    if (obs->tracing()) {
-      obs->emit_trace_only(obs::counter_event("pacemaker", "round", config_.id,
-                                              sched_.now(),
-                                              {"round", round_}));
-    }
-  }
+  probe_.round_entered(round_, sched_.now());
   voted_this_round_ = false;
   awaiting_batches_.reset();  // a deferred vote cannot cross rounds
   if (round_ % config_.n == config_.id && !awaiting_sync_) propose();
@@ -440,22 +427,7 @@ void StreamletCore::propose() {
   SProposal proposal;
   proposal.block = block;
   proposal.sig = signer_.sign(proposal.signing_bytes());
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kProposalsSent);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "proposed", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", block.round},
-                                {"height", block.height}));
-    }
-    if (obs->tracing()) {
-      // Backpressure counter track: leader's mempool after draining the
-      // batch for this block.
-      obs->emit_trace_only(obs::counter_event(
-          "mempool", "mempool_depth", config_.id, sched_.now(),
-          {"pending", static_cast<std::uint64_t>(payloads_.pending())}));
-    }
-  }
+  probe_.proposed(block, sched_.now(), payloads_.pending());
   hooks_.broadcast_proposal(proposal);
 }
 
@@ -490,14 +462,7 @@ void StreamletCore::on_proposal(const SProposal& proposal) {
   }
   if (inserted == chain::BlockTree::InsertResult::Inserted) {
     if (hooks_.on_block_seen) hooks_.on_block_seen(block);
-    // Proposal arrival milestone (critical-path "proposal transit");
-    // proposer's own loopback delivery excluded.
-    if (obs::Observer* obs = config_.observer;
-        obs != nullptr && obs->recording() && block.proposer != config_.id) {
-      obs->emit(obs::span_event("block", "received", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", block.round}));
-    }
+    probe_.received(block, sched_.now());
     // Votes may have arrived (via echo) before the proposal.
     try_certify(block.id);
     maybe_vote(block);
@@ -525,14 +490,9 @@ void StreamletCore::maybe_vote(const Block& block) {
     payloads_.fetch(block.payload);
     return;
   }
-  // Dissem availability-wait milestone: the gate passed (immediately, or on
-  // a retry after the missing batches landed).
-  if (obs::Observer* obs = config_.observer;
-      obs != nullptr && obs->recording() && payloads_.digests()) {
-    obs->emit(obs::instant_event("dissem", "payload_ready", config_.id,
-                                 sched_.now(), {"round", block.round},
-                                 {"height", block.height}));
-  }
+  // The gate passed (immediately, or on a retry after the missing batches
+  // landed).
+  if (payloads_.digests()) probe_.payload_ready(block, sched_.now());
   voted_this_round_ = true;
   voted_round_ = block.round;
   if (store_) {
@@ -552,14 +512,7 @@ void StreamletCore::maybe_vote(const Block& block) {
   // it and derives markers for later votes.
   history_.record_vote(block);
 
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kVotesSent);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "voted", config_.id, block.height,
-                                block.created_at, sched_.now(),
-                                {"round", block.round}));
-    }
-  }
+  probe_.voted(block, sched_.now());
   hooks_.broadcast_vote(vote);
 }
 
@@ -576,13 +529,12 @@ void StreamletCore::ingest_vote(const SVote& vote, bool allow_echo) {
   }
   auto& per_voter = votes_[vote.block_id];
   if (!per_voter.emplace(vote.voter, vote).second) return;  // duplicate
-  if (config_.observer != nullptr) {
+  if (probe_.enabled()) {
     // Vote-arrival ordinals (strength clock); consumed at certification.
     const std::size_t distinct = per_voter.size();
     if (distinct == config_.f() + 1 || distinct == config_.quorum()) {
-      VoteClock& clock = vote_clock_[vote.block_id];
-      if (distinct == config_.f() + 1) clock.f1_at = sched_.now();
-      if (distinct == config_.quorum()) clock.quorum_at = sched_.now();
+      vote_clock_[vote.block_id].note(distinct, config_.f(), config_.quorum(),
+                                      sched_.now());
     }
   }
   if (hooks_.on_vote_seen) hooks_.on_vote_seen(vote);
@@ -611,39 +563,11 @@ void StreamletCore::try_certify(const BlockId& id) {
 void StreamletCore::mark_certified(const Block& block_ref) {
   const Block* block = &block_ref;
   const BlockId id = block->id;
-  if (obs::Observer* obs = config_.observer) {
-    obs->count(config_.id, obs::Counter::kBlocksCertified);
-    obs->observe(config_.id, obs::Hist::kCertifyLatencyUs,
-                 sched_.now() - block->created_at);
-    if (obs->recording()) {
-      obs->emit(obs::span_event("block", "certified", config_.id,
-                                block->height, block->created_at, sched_.now(),
-                                {"round", block->round}));
-    }
-    if (const auto clock_it = vote_clock_.find(id);
-        clock_it != vote_clock_.end()) {
-      const VoteClock& clock = clock_it->second;
-      if (clock.f1_at > 0) {
-        obs->observe(config_.id, obs::Hist::kVoteF1LatencyUs,
-                     clock.f1_at - block->created_at);
-        if (obs->recording()) {
-          obs->emit(obs::instant_event("block", "vote_f1", config_.id,
-                                       clock.f1_at, {"round", block->round},
-                                       {"height", block->height}));
-        }
-      }
-      if (clock.quorum_at > 0) {
-        obs->observe(config_.id, obs::Hist::kVoteQuorumLatencyUs,
-                     clock.quorum_at - block->created_at);
-        if (obs->recording()) {
-          obs->emit(obs::instant_event("block", "vote_quorum", config_.id,
-                                       clock.quorum_at,
-                                       {"round", block->round},
-                                       {"height", block->height}));
-        }
-      }
-      vote_clock_.erase(clock_it);
-    }
+  probe_.certified(*block, sched_.now());
+  if (const auto clock_it = vote_clock_.find(id);
+      clock_it != vote_clock_.end()) {
+    probe_.votes_gathered(*block, clock_it->second);
+    vote_clock_.erase(clock_it);
   }
   if (block->height > longest_height_) {
     longest_height_ = block->height;

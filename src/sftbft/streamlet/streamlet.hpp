@@ -49,6 +49,7 @@
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
 #include "sftbft/net/envelope.hpp"
+#include "sftbft/obs/lifecycle.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
 #include "sftbft/types/block.hpp"
@@ -290,6 +291,7 @@ class StreamletCore {
   core::VoteHistory history_;
   std::unique_ptr<core::StrengthTracker> endorsements_;
   core::Committer committer_;
+  obs::LifecycleProbe probe_;
   core::SyncClient sync_;
   Round round_ = 0;
   bool stopped_ = false;
@@ -320,12 +322,8 @@ class StreamletCore {
   /// Vote-arrival ordinals per block (the paper's strength clock): when the
   /// (f+1)-th / (2f+1)-th distinct vote landed locally. Every replica
   /// tallies in Streamlet, so every replica carries its own clock; entries
-  /// are consumed (erased) at certification.
-  struct VoteClock {
-    SimTime f1_at = 0;
-    SimTime quorum_at = 0;
-  };
-  std::unordered_map<types::BlockId, VoteClock> vote_clock_;
+  /// are consumed (erased) at certification. Filled only when obs is on.
+  std::unordered_map<types::BlockId, obs::VoteClock> vote_clock_;
 
   /// Longest certified tip (ties broken by lower id for determinism).
   types::BlockId longest_tip_{};

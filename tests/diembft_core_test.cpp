@@ -28,7 +28,7 @@ struct Outbox {
 class DiemBftCoreTest : public ::testing::Test {
  protected:
   DiemBftCoreTest() : registry_(std::make_shared<crypto::KeyRegistry>(kN, 2)) {
-    CoreConfig config;
+    core::CoreConfig config;
     config.id = 0;
     config.n = kN;
     config.mode = CoreMode::SftMarker;

@@ -1,7 +1,8 @@
 // sftbft::obs: histogram bucket/percentile correctness (merge included),
 // Chrome-trace JSON well-formedness, flight-recorder ring eviction, and the
 // cross-engine observability conformance the enum vocabulary promises —
-// identical metric key sets on DiemBFT, chained HotStuff, and Streamlet.
+// identical metric key sets on DiemBFT, chained HotStuff, and Streamlet,
+// and the same block-milestone event names in each engine's trace.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include <map>
+#include <set>
 
 #include "sftbft/harness/perf_gate.hpp"
 #include "sftbft/harness/scenario.hpp"
@@ -431,6 +433,42 @@ TEST(ObsConformance, FlowEventsAreWellFormedAndCounterTracksPresent) {
   }
   EXPECT_TRUE(saw_mempool_counter);
   EXPECT_TRUE(saw_round_counter);
+}
+
+TEST(ObsConformance, AllThreeEnginesEmitTheMilestoneVocabulary) {
+  // Every engine reports its block lifecycle through obs::LifecycleProbe,
+  // so a traced run on each carries the full milestone vocabulary the
+  // critical-path analyzer reads back.
+  for (const engine::Protocol protocol : engine::kAllProtocols) {
+    harness::Scenario s = small_scenario(protocol);
+    s.duration = seconds(5);
+    s.trace_path = "obs_test_vocabulary_trace.json";  // cwd = ctest build dir
+    const harness::ScenarioResult r = harness::run_scenario(s);
+    EXPECT_GT(r.summary.committed_blocks, 0u);
+
+    std::ifstream in(s.trace_path);
+    ASSERT_TRUE(in.good());
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const auto doc = harness::JsonValue::parse(buffer.str());
+    ASSERT_TRUE(doc.has_value());
+    std::remove(s.trace_path.c_str());
+    const harness::JsonValue* events = doc->find("traceEvents");
+    ASSERT_NE(events, nullptr);
+
+    std::set<std::string> names;
+    for (const harness::JsonValue& event : events->array) {
+      if (const harness::JsonValue* name = event.find("name")) {
+        names.insert(name->string);
+      }
+    }
+    for (const char* milestone :
+         {"proposed", "received", "voted", "certified", "vote_f1",
+          "vote_quorum", "committed", "round_enter"}) {
+      EXPECT_TRUE(names.contains(milestone))
+          << engine::protocol_name(protocol) << " trace lacks " << milestone;
+    }
+  }
 }
 
 TEST(ObsConformance, WireDelayHistogramsCoverTheTraffic) {

@@ -1,4 +1,4 @@
-// Pacemaker: round entry, timers, timeout signalling, backoff.
+// Pacemaker: round entry, timers, timeout signalling.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -57,32 +57,6 @@ TEST(Pacemaker, ProgressCancelsTimer) {
   EXPECT_TRUE(h.timeouts.empty());
   h.sched.run_for(millis(30));  // t=160: round-2 timer fires (50+100=150)
   EXPECT_EQ(h.timeouts, (std::vector<Round>{2}));
-}
-
-TEST(Pacemaker, BackoffGrowsTimerAcrossTimeouts) {
-  Harness h({.base_timeout = millis(100), .backoff = 2.0});
-  h.pacemaker.start();
-  h.sched.run_for(millis(110));  // round 1 times out at 100
-  ASSERT_EQ(h.timeouts.size(), 1u);
-  h.pacemaker.advance_to(2);  // entered via TC after a timeout chain
-  // Round 2's timer is doubled: fires at 110 + 200.
-  h.sched.run_for(millis(150));
-  EXPECT_EQ(h.timeouts.size(), 1u);
-  h.sched.run_for(millis(100));
-  EXPECT_EQ(h.timeouts.size(), 2u);
-}
-
-TEST(Pacemaker, ProgressResetsBackoff) {
-  Harness h({.base_timeout = millis(100), .backoff = 2.0});
-  h.pacemaker.start();
-  h.sched.run_for(millis(110));  // timeout round 1
-  h.pacemaker.advance_to(2);     // timeout-chain entry (backoff x2)
-  h.sched.run_for(millis(50));
-  h.pacemaker.advance_to(3);  // round 2 progressed without timing out: reset
-  const SimTime entered_at = h.sched.now();
-  h.sched.run_for(millis(120));
-  ASSERT_EQ(h.timeouts.size(), 2u);  // round 3 timer back at base 100ms
-  (void)entered_at;
 }
 
 TEST(Pacemaker, StopSilencesTimers) {

@@ -138,7 +138,6 @@ TEST(Safety, CommitLogOverstatementsBlockVotes) {
   SafetyAuditor auditor;
   auto config = stress_config(7, CoreMode::SftMarker, 13);
   config.chained.attach_commit_log = true;
-  config.chained.verify_commit_log = true;
   Deployment cluster(config, auditor.observer());
   cluster.start();
   cluster.run_for(seconds(10));
