@@ -4,6 +4,9 @@
 // already pays (hashing, signing, QC digests).
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "sftbft/chain/block_tree.hpp"
 #include "sftbft/common/interval_set.hpp"
 #include "sftbft/core/strength.hpp"
@@ -69,6 +72,39 @@ void BM_VerifyVote(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyVote);
 
+/// Vote verification through a VerifyCache that never hits: every lookup
+/// pays the memo key (a SHA-256 of the signing bytes) and a store on top
+/// of the MAC. Distinct signed votes cycle through a fresh cache per lap,
+/// so the memo's node frees are charged too. Compare with BM_VerifyVote
+/// (no memo) and BM_VoteVerifyMemoized (every lookup hits).
+void BM_VerifyVoteColdCache(benchmark::State& state) {
+  constexpr std::size_t kVotes = 1024;
+  crypto::KeyRegistry registry(4, 1);
+  const crypto::Signer signer = registry.signer_for(0);
+  std::vector<Bytes> msgs;
+  std::vector<crypto::Signature> sigs;
+  for (std::size_t i = 0; i < kVotes; ++i) {
+    Bytes msg = make_bytes(96);
+    for (std::size_t b = 0; b < 8; ++b) {
+      msg[b] = static_cast<std::uint8_t>(i >> (8 * b));
+    }
+    sigs.push_back(signer.sign(msg));
+    msgs.push_back(std::move(msg));
+  }
+  auto cache = std::make_unique<crypto::VerifyCache>();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i == kVotes) {
+      cache = std::make_unique<crypto::VerifyCache>();
+      i = 0;
+    }
+    benchmark::DoNotOptimize(registry.verify(sigs[i], msgs[i], cache.get()));
+    ++i;
+  }
+  if (cache->vote_hits() != 0) state.SkipWithError("a lookup hit the memo");
+}
+BENCHMARK(BM_VerifyVoteColdCache);
+
 /// Builds a linear chain of `length` blocks on a tree.
 chain::BlockTree make_chain(std::size_t length,
                             std::vector<types::BlockId>* ids = nullptr) {
@@ -90,21 +126,47 @@ chain::BlockTree make_chain(std::size_t length,
   return tree;
 }
 
-/// The marker computation the paper adds to every vote (Fig. 4).
+/// The marker computation the paper adds to every vote (Fig. 4), with
+/// `state.range(0)` dead forks behind the tip. Fork k is a sibling of main
+/// block k, voted just before it, so every dead fork stays in the frontier
+/// (one entry per fork) at a distinct depth below the tip — the shape a
+/// long run with many view changes leaves behind.
 void BM_MarkerComputation(benchmark::State& state) {
-  std::vector<types::BlockId> ids;
-  chain::BlockTree tree = make_chain(64, &ids);
+  const auto forks = static_cast<std::size_t>(state.range(0));
+  chain::BlockTree tree;
   core::VoteHistory history(tree);
-  const types::Block* tip = tree.get(ids.back());
-  // Vote along the chain so the frontier is realistic.
-  for (std::size_t i = 0; i + 1 < ids.size(); i += 2) {
-    history.record_vote(*tree.get(ids[i]));
+  types::Block parent = tree.genesis();
+  const auto extend = [&tree](const types::Block& from, Round round) {
+    types::Block block;
+    block.parent_id = from.id;
+    block.round = round;
+    block.height = from.height + 1;
+    block.proposer = static_cast<ReplicaId>(round % 4);
+    block.qc.block_id = from.id;
+    block.qc.round = from.round;
+    block.seal();
+    tree.insert(block);
+    return block;
+  };
+  for (std::size_t k = 1; k <= forks; ++k) {
+    history.record_vote(extend(parent, 2 * k - 1));  // the fork, then...
+    parent = extend(parent, 2 * k);                  // ...the main chain
+    history.record_vote(parent);
+  }
+  // A 64-block stretch above the last fork, so the tip is well clear of it.
+  for (Round round = 2 * forks + 1; round <= 2 * forks + 64; ++round) {
+    parent = extend(parent, round);
+  }
+  history.record_vote(parent);
+  const types::Block tip = extend(parent, 2 * forks + 65);
+  if (history.frontier().size() != forks + 1) {
+    state.SkipWithError("frontier is not one entry per fork");
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(history.marker_for(*tip));
+    benchmark::DoNotOptimize(history.marker_for(tip));
   }
 }
-BENCHMARK(BM_MarkerComputation);
+BENCHMARK(BM_MarkerComputation)->Arg(1)->Arg(64)->Arg(512);
 
 /// The Sec. 3.4 interval-set computation (generalized strong-vote).
 void BM_IntervalComputation(benchmark::State& state) {

@@ -88,6 +88,28 @@ bool BlockTree::extends(const BlockId& descendant,
   return down == up;
 }
 
+std::vector<bool> BlockTree::extends_each(
+    const BlockId& descendant, std::span<const BlockId> ancestors) const {
+  std::vector<bool> out(ancestors.size(), false);
+  const Node* down = find(descendant);
+  if (!down) return out;
+  // Known ancestors, highest first, so the walk only ever moves down.
+  std::vector<std::pair<const Node*, std::size_t>> order;
+  order.reserve(ancestors.size());
+  for (std::size_t i = 0; i < ancestors.size(); ++i) {
+    if (const Node* up = find(ancestors[i])) order.emplace_back(up, i);
+  }
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first->block.height > b.first->block.height;
+  });
+  for (const auto& [up, i] : order) {
+    while (down && down->block.height > up->block.height) down = down->parent;
+    if (!down) break;
+    out[i] = down == up;
+  }
+  return out;
+}
+
 bool BlockTree::conflicts(const BlockId& a, const BlockId& b) const {
   if (!contains(a) || !contains(b)) return false;
   return !extends(a, b) && !extends(b, a);

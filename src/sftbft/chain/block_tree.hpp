@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +58,11 @@ class BlockTree {
   /// False if either id is unknown.
   [[nodiscard]] bool extends(const BlockId& descendant,
                              const BlockId& ancestor) const;
+
+  /// extends(descendant, a) for each `a` in `ancestors`, from one walk down
+  /// to the lowest of them instead of one walk each.
+  [[nodiscard]] std::vector<bool> extends_each(
+      const BlockId& descendant, std::span<const BlockId> ancestors) const;
 
   /// True iff both blocks are known and neither extends the other
   /// (paper Sec. 2.1: "conflicting").

@@ -2,22 +2,42 @@
 
 #include <algorithm>
 #include <cassert>
+#include <ranges>
 
 namespace sftbft::core {
 
 void VoteHistory::record_vote(const types::Block& block) {
   assert(tree_->contains(block.id));
+  const FrontierEntry voted{block.id, block.round, block.height};
+  if (all_known_ && !frontier_.empty() &&
+      tree_->extends(block.id, frontier_.back().block_id)) {
+    // Fast path (see header): the newest entry is the only one on this fork.
+    frontier_.back() = voted;
+    return;
+  }
   // Drop frontier entries on the same fork (ancestors of the new vote);
-  // what remains are the highest voted blocks of *other* forks.
-  std::erase_if(frontier_, [&](const FrontierEntry& entry) {
-    return tree_->extends(block.id, entry.block_id);
+  // what remains are the highest voted blocks of *other* forks. One walk
+  // down from the new vote answers every entry.
+  std::vector<types::BlockId> ids;
+  ids.reserve(frontier_.size());
+  for (const FrontierEntry& entry : frontier_) ids.push_back(entry.block_id);
+  const std::vector<bool> same_fork = tree_->extends_each(block.id, ids);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < frontier_.size(); ++i) {
+    if (!same_fork[i]) frontier_[kept++] = frontier_[i];
+  }
+  frontier_.resize(kept);
+  frontier_.push_back(voted);
+  all_known_ = std::ranges::all_of(frontier_, [&](const FrontierEntry& entry) {
+    return tree_->contains(entry.block_id);
   });
-  frontier_.push_back({block.id, block.round, block.height});
 }
 
 Round VoteHistory::marker_for(const types::Block& block) const {
   Round marker = 0;
-  for (const FrontierEntry& entry : frontier_) {
+  // Newest first: the guard then skips every older, lower-round entry
+  // without a walk (see header).
+  for (const FrontierEntry& entry : std::views::reverse(frontier_)) {
     // An entry conflicts with `block` iff `block` does not extend it (the
     // entry cannot extend `block`: its round is lower than any new vote's).
     // Unknown entries (restored, not yet re-synced) never satisfy extends()
@@ -31,7 +51,7 @@ Round VoteHistory::marker_for(const types::Block& block) const {
 
 Height VoteHistory::height_marker_for(const types::Block& block) const {
   Height marker = 0;
-  for (const FrontierEntry& entry : frontier_) {
+  for (const FrontierEntry& entry : std::views::reverse(frontier_)) {
     if (entry.height > marker && !tree_->extends(block.id, entry.block_id)) {
       marker = entry.height;
     }
@@ -65,6 +85,7 @@ IntervalSet VoteHistory::intervals_for(const types::Block& block,
 
 void VoteHistory::from_records(std::vector<FrontierEntry> records) {
   frontier_.clear();
+  all_known_ = false;  // the next record_vote takes the full pass
   for (const FrontierEntry& record : records) {
     // Drop already-imported entries this record's block extends — the same
     // maintenance rule record_vote applies, so importing a frontier exported

@@ -22,6 +22,32 @@
 // previously voted one, so frontier maintenance is: drop entries the new
 // block extends, then append it.
 //
+// Cost. Dead forks stay in the frontier forever, and walking from a new tip
+// down to each of them on every vote was the dominant host cost of long
+// churny runs. Three exact shortcuts keep a vote at O(1) walks:
+//
+//  * Newest-first scan. Entries are appended in vote order, so scanning the
+//    frontier from the back visits rounds in decreasing order. marker_for's
+//    `entry.round > marker` guard is tested before the walk, so once one
+//    conflicting entry sets the marker every older entry is skipped without
+//    a walk: at most two walks (the own-fork entry, then the newest
+//    conflicting one). The max is the same in any order; height_marker_for
+//    scans the same way under its height guard.
+//  * record_vote fast path. Invariant: when `all_known_` holds, every entry
+//    was known to the tree at the last full pass, so frontier_.back() (the
+//    newest vote) extends no other entry. A block B that extends back() then
+//    extends exactly the entries back() extends — any ancestor of B with a
+//    lower round than back() is an ancestor of back() — i.e. back() alone.
+//    So B replaces back() in place, with no walk to the dead forks; the
+//    result is the vector the full pass would build. from_records clears the
+//    flag (restored entries may be unknown, or re-learned later as
+//    ancestors of each other); a full pass that leaves only known entries
+//    sets it again.
+//  * One walk per full pass. The full pass (a fork switch, or the flag is
+//    down) answers "does the new vote extend this entry?" for every entry
+//    with BlockTree::extends_each: one walk down to the lowest entry rather
+//    than one walk per entry.
+//
 // Crash recovery (sftbft::storage): the frontier round-trips through
 // to_records()/from_records(). Restored entries may reference blocks the
 // rebuilt tree does not contain yet (they arrive via peer sync); until then
@@ -91,6 +117,9 @@ class VoteHistory {
  private:
   const chain::BlockTree* tree_;
   std::vector<FrontierEntry> frontier_;
+  /// Every entry was known to the tree at the last full record_vote pass
+  /// (the fast-path invariant; see file header).
+  bool all_known_ = true;
 };
 
 }  // namespace sftbft::core

@@ -148,12 +148,12 @@ void Sha256::process_block(const std::uint8_t* block) {
   state_[7] += h;
 }
 
-Sha256Digest hmac_sha256(BytesView key, BytesView message) {
+HmacKey::HmacKey(BytesView key) {
   std::array<std::uint8_t, 64> k_block{};
   if (key.size() > 64) {
     const Sha256Digest kd = Sha256::hash(key);
     std::memcpy(k_block.data(), kd.bytes.data(), kd.bytes.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(k_block.data(), key.data(), key.size());
   }
 
@@ -163,16 +163,22 @@ Sha256Digest hmac_sha256(BytesView key, BytesView message) {
     ipad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x5c);
   }
+  inner_.update(ipad);
+  outer_.update(opad);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
+Sha256Digest HmacKey::mac(BytesView message) const {
+  Sha256 inner = inner_;
   inner.update(message);
   const Sha256Digest inner_digest = inner.finalize();
 
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer = outer_;
   outer.update(inner_digest.bytes);
   return outer.finalize();
+}
+
+Sha256Digest hmac_sha256(BytesView key, BytesView message) {
+  return HmacKey(key).mac(message);
 }
 
 }  // namespace sftbft::crypto

@@ -24,63 +24,64 @@ Signature Signature::decode(Decoder& dec) {
 Signature Signer::sign(BytesView message) const {
   Signature sig;
   sig.signer = id_;
-  sig.mac = hmac_sha256(secret_, message).bytes;
+  sig.mac = key_.mac(message).bytes;
   return sig;
 }
 
 KeyRegistry::KeyRegistry(std::uint32_t n, std::uint64_t seed) {
   Rng rng(seed ^ 0x5f7bfad1c0ffee00ULL);
-  secrets_.resize(n);
-  for (auto& secret : secrets_) {
+  keys_.reserve(n);
+  for (std::uint32_t id = 0; id < n; ++id) {
+    std::array<std::uint8_t, 32> secret{};
     for (std::size_t i = 0; i < secret.size(); i += 8) {
       const std::uint64_t word = rng.next();
       for (std::size_t j = 0; j < 8; ++j) {
         secret[i + j] = static_cast<std::uint8_t>(word >> (8 * j));
       }
     }
+    keys_.emplace_back(secret);
   }
 }
 
 Signer KeyRegistry::signer_for(ReplicaId id) const {
-  if (id >= secrets_.size()) {
+  if (id >= keys_.size()) {
     throw std::out_of_range("KeyRegistry::signer_for: unknown replica");
   }
-  return Signer(id, secrets_[id]);
+  return Signer(id, keys_[id]);
 }
 
 bool KeyRegistry::verify(const Signature& sig, BytesView message,
                          VerifyCache* cache) const {
-  if (sig.signer >= secrets_.size()) return false;
+  if (sig.signer >= keys_.size()) return false;
   const Sha256Digest expected = expected_mac(sig.signer, message, cache);
   return ct_equal(expected.bytes, sig.mac);
 }
 
 Sha256Digest KeyRegistry::expected_mac(ReplicaId signer, BytesView message,
                                        VerifyCache* cache) const {
-  if (signer >= secrets_.size()) {
+  if (signer >= keys_.size()) {
     throw std::out_of_range("KeyRegistry::expected_mac: unknown replica");
   }
-  if (cache == nullptr) return hmac_sha256(secrets_[signer], message);
+  if (cache == nullptr) return keys_[signer].mac(message);
   const Sha256Digest msg_digest = Sha256::hash(message);
   if (const Sha256Digest* hit = cache->lookup_mac(signer, msg_digest)) {
     return *hit;
   }
-  const Sha256Digest mac = hmac_sha256(secrets_[signer], message);
+  const Sha256Digest mac = keys_[signer].mac(message);
   cache->store_mac(signer, msg_digest, mac);
   return mac;
 }
 
 bool KeyRegistry::verify_aggregate(
     const AggregateSignature& agg,
-    const std::function<Bytes(ReplicaId)>& message_for,
-    VerifyCache* cache) const {
+    const std::function<Bytes(ReplicaId)>& message_for) const {
   const std::vector<ReplicaId> ids = agg.signers.ids();
   if (ids.empty()) return false;
-  if (ids.back() >= secrets_.size()) return false;
+  if (ids.back() >= keys_.size()) return false;
   std::array<std::uint8_t, 32> fold{};
   for (const ReplicaId id : ids) {
     const Bytes message = message_for(id);
-    const Sha256Digest mac = expected_mac(id, BytesView(message), cache);
+    const Sha256Digest mac = keys_[id].mac(BytesView(message));
     for (std::size_t i = 0; i < fold.size(); ++i) fold[i] ^= mac.bytes[i];
   }
   return ct_equal(fold, agg.tag);

@@ -4,10 +4,12 @@
 // Diem production signature scheme. The protocol logic only requires that a
 // Byzantine replica cannot forge an honest replica's vote *within the run*.
 // We realize this with HMAC-SHA-256 over per-replica secrets: a replica can
-// sign only through its own Signer (which owns its secret), and the registry
-// verifies by recomputation. The interfaces mirror asymmetric signatures so a
-// production scheme (e.g. Ed25519) can be swapped in without touching
-// protocol code.
+// sign only through its own Signer (which owns its key state), and the
+// registry verifies by recomputation. Both hold each secret only as its
+// crypto::HmacKey — the padded key blocks already absorbed — so a signature
+// costs the message's compressions, not the key's. The interfaces mirror
+// asymmetric signatures so a production scheme (e.g. Ed25519) can be
+// swapped in without touching protocol code.
 #pragma once
 
 #include <array>
@@ -40,6 +42,8 @@ class KeyRegistry;
 
 /// Signing capability of one replica. Only the replica's own actor holds its
 /// Signer, which is what makes honest votes unforgeable in the simulation.
+/// The Signer owns a copy of its key state: signing never goes back to the
+/// registry.
 class Signer {
  public:
   [[nodiscard]] ReplicaId id() const { return id_; }
@@ -49,11 +53,10 @@ class Signer {
 
  private:
   friend class KeyRegistry;
-  Signer(ReplicaId id, std::array<std::uint8_t, 32> secret)
-      : id_(id), secret_(secret) {}
+  Signer(ReplicaId id, const HmacKey& key) : id_(id), key_(key) {}
 
   ReplicaId id_;
-  std::array<std::uint8_t, 32> secret_;
+  HmacKey key_;
 };
 
 /// The PKI: generates all replica keys from a seed and verifies signatures.
@@ -64,7 +67,7 @@ class KeyRegistry {
   KeyRegistry(std::uint32_t n, std::uint64_t seed);
 
   [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(secrets_.size());
+    return static_cast<std::uint32_t>(keys_.size());
   }
 
   /// Hands out the signer for `id`. Call once per replica at setup; protocol
@@ -85,14 +88,14 @@ class KeyRegistry {
 
   /// True iff `agg.tag` is the fold of every bitmap member's MAC, each over
   /// `message_for(member)` — the member's own canonical signing bytes. An
-  /// empty signer set never verifies.
+  /// empty signer set never verifies. Members bypass the vote memo (see
+  /// verify_cache.hpp); callers memoize the whole certificate instead.
   [[nodiscard]] bool verify_aggregate(
       const AggregateSignature& agg,
-      const std::function<Bytes(ReplicaId)>& message_for,
-      VerifyCache* cache = nullptr) const;
+      const std::function<Bytes(ReplicaId)>& message_for) const;
 
  private:
-  std::vector<std::array<std::uint8_t, 32>> secrets_;
+  std::vector<HmacKey> keys_;
 };
 
 }  // namespace sftbft::crypto

@@ -95,8 +95,7 @@ bool SCert::verify(const crypto::KeyRegistry& registry, std::size_t quorum,
             voters.begin());
         return SVote::signing_bytes_for(block_id, round, height, voter,
                                         markers[i]);
-      },
-      cache);
+      });
   if (ok && cache != nullptr) cache->note_cert(memo_key);
   return ok;
 }
@@ -435,16 +434,18 @@ void StreamletCore::on_proposal(const SProposal& proposal) {
   if (stopped_) return;
   const Block& block = proposal.block;
   if (block.round == 0 || block.round % config_.n != block.proposer) return;
+  // A duplicate (the leader's copy plus every echo) is a no-op for insert,
+  // so it returns before the id hash and the signature check.
+  if (tree_.contains(block.id)) return;
   if (!block.id_is_valid()) return;
   if (config_.verify_signatures &&
       (proposal.sig.signer != block.proposer ||
        !registry_->verify(proposal.sig, proposal.signing_bytes(), &cache_))) {
     return;
   }
-  const bool unseen = !tree_.contains(block.id);
   const auto inserted = tree_.insert(block);
   if (inserted == chain::BlockTree::InsertResult::Rejected) return;
-  if (unseen && config_.echo && hooks_.echo) hooks_.echo(SMessage{proposal});
+  if (config_.echo && hooks_.echo) hooks_.echo(SMessage{proposal});
   if (inserted == chain::BlockTree::InsertResult::Orphaned &&
       !orphan_repair_armed_) {
     // Orphan repair: an equivocating leader (Appendix C) may have shown this

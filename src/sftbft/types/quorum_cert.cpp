@@ -50,8 +50,7 @@ bool QuorumCert::verify(const crypto::KeyRegistry& registry,
             votes.begin(), votes.end(), voter,
             [](const QcVote& v, ReplicaId id) { return v.voter < id; });
         return Vote::signing_bytes_for(block_id, round, voter, it->meta);
-      },
-      cache);
+      });
   if (ok && cache != nullptr) cache->note_cert(memo_key);
   return ok;
 }

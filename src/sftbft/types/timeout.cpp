@@ -75,8 +75,7 @@ bool TimeoutCert::verify(const crypto::KeyRegistry& registry,
                 senders.begin());
             return TimeoutMsg::signing_bytes_for(round, sender,
                                                  hqc_rounds[i]);
-          },
-          cache) &&
+          }) &&
       high_qc.verify(registry, quorum, cache);
   if (ok && cache != nullptr) cache->note_cert(memo_key);
   return ok;

@@ -157,5 +157,35 @@ TEST_F(BlockTreeTest, QueriesOnUnknownIdsAreSafe) {
   EXPECT_FALSE(tree_.three_chain_from(unknown).has_value());
 }
 
+TEST_F(BlockTreeTest, ExtendsEachMatchesExtends) {
+  //   g - b1 - b2 - b3 - b4
+  //         \- f2 - f3
+  //    \- h1
+  const Block b1 = child_of(genesis_, 1);
+  const Block b2 = child_of(b1, 2);
+  const Block b3 = child_of(b2, 3);
+  const Block b4 = child_of(b3, 4);
+  const Block f2 = child_of(b1, 5);
+  const Block f3 = child_of(f2, 6);
+  const Block h1 = child_of(genesis_, 7);
+  for (const Block* block : {&b1, &b2, &b3, &b4, &f2, &f3, &h1}) {
+    tree_.insert(*block);
+  }
+  types::BlockId unknown{};
+  unknown.bytes[0] = 0xff;
+  // Any order, duplicates and unknown ids included.
+  const std::vector<types::BlockId> ids{f3.id, b2.id, unknown, genesis_.id,
+                                        b4.id, h1.id, b1.id, f2.id, b2.id};
+  for (const types::BlockId& descendant :
+       {b4.id, b3.id, f3.id, h1.id, genesis_.id, unknown}) {
+    const std::vector<bool> each = tree_.extends_each(descendant, ids);
+    ASSERT_EQ(each.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(each[i], tree_.extends(descendant, ids[i])) << i;
+    }
+  }
+  EXPECT_TRUE(tree_.extends_each(b4.id, {}).empty());
+}
+
 }  // namespace
 }  // namespace sftbft::chain

@@ -3,6 +3,7 @@
 // Lemma 3 counting argument.
 #include <gtest/gtest.h>
 
+#include "sftbft/obs/observer.hpp"
 #include "sftbft/streamlet/streamlet.hpp"
 
 namespace sftbft::streamlet {
@@ -210,6 +211,56 @@ TEST_F(SftStreamletUnit, WrongLeaderProposalIgnored) {
   proposal.sig = registry_->signer_for(5).sign(proposal.signing_bytes());
   core_.on_proposal(proposal);
   EXPECT_FALSE(core_.tree().contains(b1.id));
+}
+
+TEST(StreamletDuplicateProposal, SecondDeliveryIsFree) {
+  // Under echo every replica receives each proposal from the leader and
+  // again from every peer. Only the first delivery may touch the tree, the
+  // echo or the signature check; a duplicate returns before the id hash.
+  constexpr std::uint32_t kN = 4;
+  sim::Scheduler sched;
+  const auto registry = std::make_shared<crypto::KeyRegistry>(kN, 3);
+  mempool::Mempool pool;
+  core::Payloads payloads{pool};
+  obs::Observer observer(obs::ObsConfig{.enabled = true}, kN);
+  StreamletConfig config;
+  config.id = 0;
+  config.n = kN;
+  config.echo = true;
+  config.verify_signatures = true;
+  config.observer = &observer;
+  std::size_t echoes = 0;
+  StreamletCore::Hooks hooks;
+  hooks.echo = [&echoes](const SMessage&) { ++echoes; };
+  StreamletCore core(config, sched, registry, payloads, std::move(hooks));
+
+  types::Block block;
+  block.parent_id = core.tree().genesis_id();
+  block.round = 1;
+  block.height = 1;
+  block.proposer = 1;
+  block.qc.block_id = block.parent_id;
+  block.seal();
+  SProposal proposal;
+  proposal.block = block;
+  proposal.sig = registry->signer_for(1).sign(proposal.signing_bytes());
+
+  const auto verifications = [&observer] {
+    const obs::Registry& metrics = observer.registry(0);
+    return metrics.counter(obs::Counter::kVoteVerifyHits) +
+           metrics.counter(obs::Counter::kVoteVerifyMisses);
+  };
+  core.on_proposal(proposal);
+  ASSERT_TRUE(core.tree().contains(block.id));
+  const std::size_t tree_size = core.tree().size();
+  EXPECT_EQ(echoes, 1u);
+  EXPECT_EQ(verifications(), 1u);
+
+  core.on_proposal(proposal);
+  EXPECT_EQ(core.tree().size(), tree_size);
+  EXPECT_EQ(core.tree().orphan_count(), 0u);
+  EXPECT_EQ(echoes, 1u);
+  EXPECT_EQ(verifications(), 1u);
 }
 
 }  // namespace
