@@ -545,7 +545,8 @@ BENCHMARK(BM_MempoolMarkCommittedForeign250);
 
 /// One rate-limited submission through the AdmissionFrontend with 50
 /// clients, each with a full dedup window and its per-second budget spent:
-/// the outcome of ~95% of the swarm's submissions on digest_dissem.
+/// what submit() costs a caller outside the swarm. The swarm itself skips
+/// these calls on over-budget ticks (BM_ClientSwarmOverBudgetTick).
 void BM_AdmissionRateLimitedSubmit(benchmark::State& state) {
   constexpr std::uint32_t kClients = 50;
   mempool::Mempool pool;
@@ -583,6 +584,49 @@ void BM_AdmissionRateLimitedSubmit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdmissionRateLimitedSubmit);
+
+/// One ClientSwarm refill tick on which all 50 clients are over budget
+/// (digest_dissem's shape: 50 clients at 5 txn/s, so ~99 of every 100
+/// ticks): the bulk tick that records 50 rejections at once.
+void BM_ClientSwarmOverBudgetTick(benchmark::State& state) {
+  constexpr std::uint32_t kClients = 50;
+  sim::Scheduler sched;
+  mempool::Mempool pool;
+  dissem::DissemConfig config;
+  config.clients = kClients;
+  config.client_rate_limit = 5;
+  dissem::AdmissionFrontend frontend(pool, config);
+  dissem::ClientSwarm swarm(sched, frontend, {.target_pool_size = 4000},
+                            config, Rng(1));
+  swarm.top_up();  // spends every client's budget for this second
+  const std::uint64_t admitted = frontend.stats().admitted;
+  for (auto _ : state) swarm.top_up();
+  if (frontend.stats().admitted != admitted ||
+      frontend.stats().rate_limited !=
+          kClients * (static_cast<std::uint64_t>(state.iterations()) + 1)) {
+    state.SkipWithError("a tick admitted or skipped a client");
+  }
+}
+BENCHMARK(BM_ClientSwarmOverBudgetTick);
+
+/// One own batch through the pool: 250 submissions, make_batch(250) and
+/// mark_committed, with fresh ids each time, so the committed window keeps
+/// evicting once it is full (the digest_dissem leader's per-batch work).
+void BM_MempoolCycle250(benchmark::State& state) {
+  mempool::Mempool pool;
+  std::uint64_t next = std::uint64_t{1} << 40;
+  for (auto _ : state) {
+    for (int i = 0; i < 250; ++i) {
+      pool.submit({.id = next++, .submitted_at = 0, .size_bytes = 450});
+    }
+    pool.mark_committed(pool.make_batch(250));
+  }
+  if (pool.pending() != 0 || pool.in_flight() != 0) {
+    state.SkipWithError("transactions left behind");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 250);
+}
+BENCHMARK(BM_MempoolCycle250);
 
 /// Encoder growth with the exact pre-reserve (the shipped behaviour)...
 void BM_EncoderAppendReserved(benchmark::State& state) {

@@ -28,9 +28,9 @@ void write_body(std::uint8_t* out, std::uint64_t id, std::size_t size) {
 }  // namespace
 
 void Encoder::put_le(std::uint64_t v, int width) {
-  for (int i = 0; i < width; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  std::uint8_t le[8];
+  for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  buf_.insert(buf_.end(), le, le + width);
 }
 
 void Encoder::bytes(BytesView data) {

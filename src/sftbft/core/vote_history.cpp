@@ -9,7 +9,11 @@ namespace sftbft::core {
 void VoteHistory::record_vote(const types::Block& block) {
   assert(tree_->contains(block.id));
   const FrontierEntry voted{block.id, block.round, block.height};
-  if (all_known_ && !frontier_.empty() &&
+  const auto arrived = [&](const types::BlockId& id) {
+    return tree_->contains(id);
+  };
+  if (!restored_ && !frontier_.empty() &&
+      std::ranges::none_of(unknown_, arrived) &&
       tree_->extends(block.id, frontier_.back().block_id)) {
     // Fast path (see header): the newest entry is the only one on this fork.
     frontier_.back() = voted;
@@ -28,9 +32,11 @@ void VoteHistory::record_vote(const types::Block& block) {
   }
   frontier_.resize(kept);
   frontier_.push_back(voted);
-  all_known_ = std::ranges::all_of(frontier_, [&](const FrontierEntry& entry) {
-    return tree_->contains(entry.block_id);
-  });
+  restored_ = false;
+  unknown_.clear();
+  for (const FrontierEntry& entry : frontier_) {
+    if (!arrived(entry.block_id)) unknown_.push_back(entry.block_id);
+  }
 }
 
 Round VoteHistory::marker_for(const types::Block& block) const {
@@ -85,7 +91,7 @@ IntervalSet VoteHistory::intervals_for(const types::Block& block,
 
 void VoteHistory::from_records(std::vector<FrontierEntry> records) {
   frontier_.clear();
-  all_known_ = false;  // the next record_vote takes the full pass
+  restored_ = true;  // the next record_vote takes the full pass
   for (const FrontierEntry& record : records) {
     // Drop already-imported entries this record's block extends — the same
     // maintenance rule record_vote applies, so importing a frontier exported

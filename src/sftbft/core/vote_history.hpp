@@ -33,16 +33,20 @@
 //    a walk: at most two walks (the own-fork entry, then the newest
 //    conflicting one). The max is the same in any order; height_marker_for
 //    scans the same way under its height guard.
-//  * record_vote fast path. Invariant: when `all_known_` holds, every entry
-//    was known to the tree at the last full pass, so frontier_.back() (the
-//    newest vote) extends no other entry. A block B that extends back() then
-//    extends exactly the entries back() extends — any ancestor of B with a
-//    lower round than back() is an ancestor of back() — i.e. back() alone.
-//    So B replaces back() in place, with no walk to the dead forks; the
-//    result is the vector the full pass would build. from_records clears the
-//    flag (restored entries may be unknown, or re-learned later as
-//    ancestors of each other); a full pass that leaves only known entries
-//    sets it again.
+//  * record_vote fast path. The last full pass left frontier_.back() (the
+//    newest vote) extending none of the entries known to the tree then,
+//    and records in `unknown_` the entries that were not. While every id
+//    in `unknown_` is still absent from the tree, back() extends no other
+//    entry (an absent block is no block's ancestor). A block B that
+//    extends back() then extends exactly the entries back() extends — any
+//    ancestor of B with a lower round than back() is an ancestor of
+//    back() — i.e. back() alone. So B replaces back() in place, with no
+//    walk to the dead forks; the result is the vector the full pass would
+//    build. Once an unknown entry arrives it may be an ancestor of back(),
+//    and the next vote takes the full pass. from_records forces one full
+//    pass too (`restored_`): restored entries never went through one.
+//    So a restarted replica whose restored fork blocks are never re-synced
+//    still takes the fast path after its first vote.
 //  * One walk per full pass. The full pass (a fork switch, or the flag is
 //    down) answers "does the new vote extend this entry?" for every entry
 //    with BlockTree::extends_each: one walk down to the lowest entry rather
@@ -117,9 +121,11 @@ class VoteHistory {
  private:
   const chain::BlockTree* tree_;
   std::vector<FrontierEntry> frontier_;
-  /// Every entry was known to the tree at the last full record_vote pass
-  /// (the fast-path invariant; see file header).
-  bool all_known_ = true;
+  /// Frontier entries absent from the tree at the last full record_vote
+  /// pass (the fast-path invariant; see file header).
+  std::vector<types::BlockId> unknown_;
+  /// from_records ran since the last full pass: the next vote takes one.
+  bool restored_ = false;
 };
 
 }  // namespace sftbft::core

@@ -3,6 +3,10 @@
 #include <cassert>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace sftbft::crypto {
 
 namespace {
@@ -30,6 +34,154 @@ std::uint32_t rotr(std::uint32_t x, int n) {
 
 }  // namespace
 
+namespace detail {
+
+void compress_portable(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* blocks, std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    const std::uint8_t* block = blocks;
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(block[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 =
+          h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+bool has_sha_ni() {
+  // The SHA-NI routine also uses SSSE3 byte shuffles and SSE4.1 blends.
+  // cpu_init first: the first hash may run in a static initializer, before
+  // libgcc has read the CPU's feature bits.
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("ssse3") &&
+           __builtin_cpu_supports("sse4.1");
+  }();
+  return supported;
+}
+
+// Intel's SHA extensions keep the working variables as two vectors, ABEF
+// and CDGH; each sha256rnds2 runs two rounds, and sha256msg1/msg2 extend
+// the message schedule four words at a time.
+__attribute__((target("sha,ssse3,sse4.1"))) void compress_sha_ni(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,
+    std::size_t count) {
+  // Byte-swaps each 32-bit word (the message is big-endian).
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // msg[i & 3] holds schedule words 4i..4i+3.
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i& words = msg[i & 3];
+      if (i < 4) {
+        words = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+            bswap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+        const __m128i& prev = msg[(i + 3) & 3];
+        words = _mm_sha256msg1_epu32(words, msg[(i + 1) & 3]);
+        words = _mm_add_epi32(words,
+                              _mm_alignr_epi8(prev, msg[(i + 2) & 3], 4));
+        words = _mm_sha256msg2_epu32(words, prev);
+      }
+      __m128i wk = _mm_add_epi32(
+          words, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                     &kRoundConstants[static_cast<std::size_t>(4 * i)])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  // Back to state order: A..D in state[0..3], E..H in state[4..7].
+  tmp = _mm_shuffle_epi32(abef, 0x1B);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(cdgh, tmp, 8));
+}
+
+#else
+
+bool has_sha_ni() { return false; }
+
+void compress_sha_ni(std::array<std::uint32_t, 8>& state,
+                     const std::uint8_t* blocks, std::size_t count) {
+  compress_portable(state, blocks, count);
+}
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+/// The process-wide compression routine (see the header's dispatch note).
+void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,
+              std::size_t count) {
+  static const auto routine = detail::has_sha_ni() ? &detail::compress_sha_ni
+                                                   : &detail::compress_portable;
+  routine(state, blocks, count);
+}
+
+}  // namespace
+
 std::string Sha256Digest::hex() const { return to_hex(bytes); }
 
 std::string Sha256Digest::short_hex() const { return hex().substr(0, 8); }
@@ -47,14 +199,15 @@ void Sha256::update(BytesView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  // Whole blocks straight from the input.
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Whole blocks straight from the input, in one call.
+  const std::size_t whole = (data.size() - offset) / 64;
+  if (whole > 0) {
+    compress(state_, data.data() + offset, whole);
+    offset += whole * 64;
   }
   // Buffer the tail.
   if (offset < data.size()) {
@@ -99,53 +252,6 @@ Sha256Digest Sha256::hash(BytesView data) {
   Sha256 ctx;
   ctx.update(data);
   return ctx.finalize();
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 =
-        h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 HmacKey::HmacKey(BytesView key) {

@@ -3,9 +3,20 @@
 // The library is dependency-free: block digests, vote digests and the HMAC
 // signature substrate all run on this implementation. Verified against the
 // NIST/FIPS test vectors in tests/crypto_test.cpp.
+//
+// Compression dispatch. The 64-byte block compression has two routines: a
+// portable one and, on x86-64, one on the CPU's SHA extensions (SHA-NI,
+// several times the portable throughput). The first hash picks one for the
+// process with __builtin_cpu_supports("sha"); a CPU without the
+// extensions, or a non-x86-64 build, runs the portable routine. Both
+// produce the same state for every input, so the choice never shows in a
+// digest; there is no knob to force either. Sha256::update hands all whole
+// blocks of one call to the routine at once. crypto::detail exposes both
+// routines directly so tests can check them against each other.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "sftbft/common/bytes.hpp"
@@ -35,8 +46,6 @@ class Sha256 {
   static Sha256Digest hash(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;
@@ -58,6 +67,22 @@ class HmacKey {
   Sha256 inner_;
   Sha256 outer_;
 };
+
+namespace detail {
+
+/// Compresses `count` consecutive 64-byte blocks into `state`.
+void compress_portable(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* blocks, std::size_t count);
+
+/// True when this build and CPU can run compress_sha_ni.
+bool has_sha_ni();
+
+/// The SHA-NI compression; call only when has_sha_ni(). On a build without
+/// the x86-64 routine it is compress_portable.
+void compress_sha_ni(std::array<std::uint32_t, 8>& state,
+                     const std::uint8_t* blocks, std::size_t count);
+
+}  // namespace detail
 
 /// HMAC-SHA-256 (RFC 2104) with a one-off key: HmacKey(key).mac(message).
 /// Verified against RFC 4231 vectors.

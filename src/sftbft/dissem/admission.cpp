@@ -1,6 +1,7 @@
 #include "sftbft/dissem/admission.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "sftbft/obs/observer.hpp"
@@ -11,24 +12,25 @@ namespace {
 
 // Counters always; trace instants only for rejections (admissions are too
 // frequent to trace individually — the admitted volume is in the counter).
+// `times` equal outcomes at one instant report as `times` single ones.
 void note_outcome(const DissemConfig& config, AdmissionFrontend::Outcome out,
-                  std::size_t backlog, SimTime now) {
+                  std::size_t backlog, SimTime now, std::uint32_t times = 1) {
   obs::Observer* obs = config.observer;
   if (obs == nullptr) return;
   obs->gauge(config.self, obs::Gauge::kMempoolBacklog,
              static_cast<std::int64_t>(backlog));
   switch (out) {
     case AdmissionFrontend::Outcome::kAdmitted:
-      obs->count(config.self, obs::Counter::kAdmitted);
+      obs->count(config.self, obs::Counter::kAdmitted, times);
       return;
     case AdmissionFrontend::Outcome::kDuplicate:
-      obs->count(config.self, obs::Counter::kAdmissionDuplicate);
+      obs->count(config.self, obs::Counter::kAdmissionDuplicate, times);
       break;
     case AdmissionFrontend::Outcome::kRateLimited:
-      obs->count(config.self, obs::Counter::kAdmissionRateLimited);
+      obs->count(config.self, obs::Counter::kAdmissionRateLimited, times);
       break;
     case AdmissionFrontend::Outcome::kBackpressure:
-      obs->count(config.self, obs::Counter::kAdmissionBackpressure);
+      obs->count(config.self, obs::Counter::kAdmissionBackpressure, times);
       break;
   }
   if (obs->recording()) {
@@ -36,8 +38,10 @@ void note_outcome(const DissemConfig& config, AdmissionFrontend::Outcome out,
         out == AdmissionFrontend::Outcome::kDuplicate     ? "reject_duplicate"
         : out == AdmissionFrontend::Outcome::kRateLimited ? "reject_rate_limit"
                                                           : "reject_backpressure";
-    obs->emit(obs::instant_event("admission", name, config.self, now,
-                                 {"backlog", backlog}));
+    for (std::uint32_t i = 0; i < times; ++i) {
+      obs->emit(obs::instant_event("admission", name, config.self, now,
+                                   {"backlog", backlog}));
+    }
   }
 }
 
@@ -58,6 +62,29 @@ AdmissionFrontend::Outcome AdmissionFrontend::submit(std::uint64_t client,
   const Outcome out = classify(client, std::move(txn), now);
   note_outcome(config_, out, pool_.pending(), now);
   return out;
+}
+
+bool AdmissionFrontend::all_rate_limited(SimTime now) {
+  if (config_.client_rate_limit == 0) return false;
+  if (now < limited_until_) return true;
+  // A spent budget stays spent until its window ends (classify resets a
+  // window only once a second has passed), so the answer holds until the
+  // earliest window end.
+  SimTime until = std::numeric_limits<SimTime>::max();
+  for (const ClientState& state : clients_) {
+    const SimTime end = state.window_start + seconds(1);
+    if (now >= end || state.window_used < config_.client_rate_limit) {
+      return false;
+    }
+    until = std::min(until, end);
+  }
+  limited_until_ = until;
+  return true;
+}
+
+void AdmissionFrontend::reject_rate_limited(std::uint32_t count, SimTime now) {
+  stats_.rate_limited += count;
+  note_outcome(config_, Outcome::kRateLimited, pool_.pending(), now, count);
 }
 
 AdmissionFrontend::Outcome AdmissionFrontend::classify(std::uint64_t client,
@@ -118,6 +145,15 @@ ClientSwarm::ClientSwarm(sim::Scheduler& sched, AdmissionFrontend& frontend,
 void ClientSwarm::top_up() {
   const std::uint32_t clients =
       static_cast<std::uint32_t>(client_seq_.size());
+  // Round-robin starts at client 0, so client_seq_[0] is the largest seq.
+  if (frontend_.backlog() < workload_.target_pool_size &&
+      client_seq_[0] < kFreshSeqs && frontend_.all_rate_limited(sched_.now())) {
+    // Over-budget tick (see header): the loop below would reject each
+    // client once, in turn, and stop where it started.
+    for (std::uint32_t& seq : client_seq_) ++seq;
+    frontend_.reject_rate_limited(clients, sched_.now());
+    return;
+  }
   // Round-robin over the population; every submission is a distinct client
   // transaction (id space: replica | client | per-client sequence).
   std::size_t rejected_streak = 0;

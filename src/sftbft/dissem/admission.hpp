@@ -13,6 +13,25 @@
 // keeping the mempool saturated for the whole run the way the paper's
 // "sufficiently many transactions" setup assumes. Deterministic given its
 // Rng fork.
+//
+// Over-budget refill ticks. Under a rate limit every client's one-second
+// window starts on the same refill tick, so most ticks find every client's
+// budget spent: the round-robin loop would submit once per client, collect
+// `clients` kRateLimited outcomes and stop. ClientSwarm::top_up replaces
+// such a tick with one bulk step when AdmissionFrontend::all_rate_limited
+// holds: it burns one sequence number per client and records the
+// `clients` rejections with reject_rate_limited() (stats, one counter add,
+// one backlog gauge, and one reject_rate_limit trace instant per client
+// when recording). That is exactly what the loop does, because
+//  * classify() tests the rate limit before the mempool, so a limited
+//    submission never reaches the pool and the backlog does not move;
+//  * the dedup ring, tested first, cannot hit: a swarm id
+//    (space<<40 | client<<26 | seq) is fresh while seq < 2^26, and the
+//    swarm is the frontend's only submitter;
+//  * a spent budget stays spent until its window ends, so the answer of
+//    one scan holds until the earliest window end (cached, so a run of
+//    over-budget ticks costs O(1) each after the first).
+// submit() itself is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +70,17 @@ class AdmissionFrontend {
   /// belongs to this replica's id space.
   Outcome submit(std::uint64_t client, types::Transaction txn, SimTime now);
 
+  /// True when every client's per-second budget is spent at `now`, so
+  /// every submission at `now` that misses the dedup ring is kRateLimited;
+  /// always false without a rate limit. Rescans the clients only once `now`
+  /// reaches the earliest window end of the last scan that held.
+  [[nodiscard]] bool all_rate_limited(SimTime now);
+
+  /// Records `count` kRateLimited outcomes at `now` exactly as `count`
+  /// submit() calls ending that way would. Only for submissions that
+  /// all_rate_limited(now) guarantees and whose ids miss the dedup ring.
+  void reject_rate_limited(std::uint32_t count, SimTime now);
+
   [[nodiscard]] const Stats& stats() const { return stats_; }
   /// Current mempool backlog (the swarm's saturation signal).
   [[nodiscard]] std::size_t backlog() const { return pool_.pending(); }
@@ -79,6 +109,9 @@ class AdmissionFrontend {
   std::vector<ClientState> clients_;
   /// clients_.size() rings of client_dedup_window ids, back to back.
   std::vector<std::uint64_t> recent_;
+  /// Every client stays over budget while now < this (all_rate_limited's
+  /// cache; 0 until a scan finds every budget spent).
+  SimTime limited_until_ = 0;
 };
 
 /// The simulated submitter population behind one replica's frontend.
@@ -108,6 +141,9 @@ class ClientSwarm {
   [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
 
  private:
+  /// Sequence numbers below this keep swarm ids fresh (the seq field).
+  static constexpr std::uint32_t kFreshSeqs = std::uint32_t{1} << 26;
+
   void schedule_refill();
 
   sim::Scheduler& sched_;

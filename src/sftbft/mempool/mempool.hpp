@@ -5,11 +5,22 @@
 // to include in its proposed block" (~1000 txns, ~450 KB per block). The
 // WorkloadGenerator keeps the pool saturated with Poisson arrivals; the
 // Mempool hands leaders a batch and drops transactions once they commit.
+//
+// Id index. Every id the pool tracks has three independent flags: known
+// (pending or in flight: the live dedup set), in flight (batched, not yet
+// committed or requeued) and committed (inside the FIFO window of recent
+// commits). One flat open-addressing table maps id -> flags: a power-of-two
+// array of slots probed linearly from a multiplicative (Fibonacci) hash,
+// grown at half full, with backward-shift deletion so no tombstones pile
+// up. An id leaves the table when its last flag clears. Each submit, batch
+// and commit is then one probe sequence in one array, with no node
+// allocation and no prime-modulo bucket math. The table starts empty and
+// first allocates on the first insert.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
+#include <vector>
 
 #include "sftbft/common/rng.hpp"
 #include "sftbft/common/types.hpp"
@@ -47,7 +58,7 @@ class Mempool {
   /// Marks a batch as committed: drops the pending/in-flight bookkeeping of
   /// the ids this pool admitted and remembers them in the committed window.
   /// Ids it never admitted (other replicas' transactions in an inline
-  /// block) are skipped after two lookups.
+  /// block) are skipped after one probe.
   void mark_committed(const types::Payload& payload);
 
   /// Returns a batch's transactions to the pending queue (leader's block
@@ -55,7 +66,7 @@ class Mempool {
   void requeue(const types::Payload& payload);
 
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-  [[nodiscard]] std::size_t in_flight() const { return in_flight_.size(); }
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
 
   /// How many committed ids the dedup window remembers (FIFO eviction):
   /// enough to cover every in-flight client retry horizon in the sims
@@ -65,14 +76,37 @@ class Mempool {
   static constexpr std::size_t kCommittedMemory = 1 << 14;
 
  private:
-  void remember_committed(std::uint64_t id);
+  /// Per-id flags in the index.
+  enum Flag : std::uint8_t {
+    kKnown = 1,      ///< pending or in flight (the live dedup set)
+    kInFlight = 2,   ///< batched, not yet committed or requeued
+    kCommitted = 4,  ///< in the recent-commit window
+  };
+
+  struct Slot {
+    std::uint64_t id = 0;
+    std::uint8_t flags = 0;  ///< 0 = empty slot
+  };
+
+  /// The flags of `id` (0 when untracked).
+  [[nodiscard]] std::uint8_t flags_of(std::uint64_t id) const;
+  /// Sets `set` on `id`, inserting it if untracked; returns the old flags.
+  std::uint8_t set_flags(std::uint64_t id, std::uint8_t set);
+  /// Clears `clear` on `id` (dropping it once no flag is left); returns
+  /// the old flags (0 when untracked).
+  std::uint8_t clear_flags(std::uint64_t id, std::uint8_t clear);
+  [[nodiscard]] std::size_t home(std::uint64_t id) const;
+  /// The slot holding `id`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t find(std::uint64_t id) const;
+  void grow();
 
   std::deque<types::Transaction> queue_;
-  std::unordered_set<std::uint64_t> in_flight_;
-  /// Ids currently pending or in flight (the live dedup set).
-  std::unordered_set<std::uint64_t> known_;
-  /// Recently committed ids (bounded FIFO window).
-  std::unordered_set<std::uint64_t> committed_set_;
+  /// Open-addressing id -> flags table (power-of-two size, or empty).
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;       ///< occupied slots
+  int shift_ = 0;              ///< 64 - log2(slots_.size()), set by grow()
+  std::size_t in_flight_ = 0;  ///< ids with kInFlight
+  /// Committed-window ids, oldest first (FIFO eviction).
   std::deque<std::uint64_t> committed_order_;
   std::size_t capacity_ = 0;
 };

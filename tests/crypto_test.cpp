@@ -4,6 +4,8 @@
 // accepted through a memo hit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 
@@ -85,6 +87,101 @@ TEST(Sha256, DigestOrdering) {
   const Sha256Digest b = Sha256::hash(ascii("b"));
   EXPECT_NE(a, b);
   EXPECT_TRUE((a < b) || (b < a));
+}
+
+// ------------------------------------------------- compression routines
+
+using Compress = void (*)(std::array<std::uint32_t, 8>&, const std::uint8_t*,
+                          std::size_t);
+
+/// SHA-256 of `message` with every block compressed by `compress` in one
+/// call: FIPS 180-4 padding, the initial state, the big-endian digest.
+Sha256Digest digest_with(Compress compress, BytesView message) {
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{message.size()} * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  compress(state, padded.data(), padded.size() / 64);
+  Sha256Digest digest;
+  for (std::size_t i = 0; i < 32; ++i) {
+    digest.bytes[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+Bytes random_bytes(Rng& rng, std::size_t size) {
+  Bytes out(size);
+  for (std::uint8_t& byte : out) {
+    byte = static_cast<std::uint8_t>(rng.uniform(0, 255));
+  }
+  return out;
+}
+
+TEST(Sha256Compress, PortableRoutineMatchesFipsVectors) {
+  EXPECT_EQ(digest_with(&detail::compress_portable, ascii("abc")).hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      digest_with(&detail::compress_portable,
+                  ascii("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
+          .hex(),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256Compress, ShaNiAgreesWithPortableOnRandomInputs) {
+  if (!detail::has_sha_ni()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  Rng rng(41);
+  for (int trial = 0; trial < 400; ++trial) {
+    const Bytes message = random_bytes(
+        rng, static_cast<std::size_t>(trial < 65 ? trial : rng.uniform(0, 1000)));
+    SCOPED_TRACE("size " + std::to_string(message.size()));
+    const Sha256Digest portable =
+        digest_with(&detail::compress_portable, message);
+    EXPECT_EQ(digest_with(&detail::compress_sha_ni, message), portable);
+    EXPECT_EQ(Sha256::hash(message), portable);
+  }
+  // Multi-block calls from an arbitrary state, block by block or at once.
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto blocks = static_cast<std::size_t>(rng.uniform(1, 16));
+    const Bytes data = random_bytes(rng, 64 * blocks);
+    std::array<std::uint32_t, 8> start{};
+    for (std::uint32_t& word : start) {
+      word = static_cast<std::uint32_t>(rng.uniform(0, 0xffffffff));
+    }
+    std::array<std::uint32_t, 8> portable = start;
+    std::array<std::uint32_t, 8> at_once = start;
+    std::array<std::uint32_t, 8> one_by_one = start;
+    detail::compress_portable(portable, data.data(), blocks);
+    detail::compress_sha_ni(at_once, data.data(), blocks);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      detail::compress_sha_ni(one_by_one, data.data() + 64 * b, 1);
+    }
+    EXPECT_EQ(at_once, portable) << blocks << " blocks";
+    EXPECT_EQ(one_by_one, portable) << blocks << " blocks";
+  }
+}
+
+TEST(Sha256Compress, SplitUpdatesMatchThePortableDigest) {
+  Rng rng(43);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bytes message =
+        random_bytes(rng, static_cast<std::size_t>(rng.uniform(0, 1000)));
+    Sha256 ctx;
+    std::size_t offset = 0;
+    while (offset < message.size()) {
+      const auto take = std::min<std::size_t>(
+          message.size() - offset, static_cast<std::size_t>(rng.uniform(0, 200)));
+      ctx.update(BytesView(message.data() + offset, take));
+      offset += take;
+    }
+    EXPECT_EQ(ctx.finalize(), digest_with(&detail::compress_portable, message))
+        << "size " << message.size();
+  }
 }
 
 // ------------------------------------------------------------ HMAC-SHA-256

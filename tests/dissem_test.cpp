@@ -7,6 +7,14 @@
 // transactions with proposal frames a fraction of the inline-mode size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sftbft/core/committer.hpp"
 #include "sftbft/core/payloads.hpp"
 #include "sftbft/dissem/admission.hpp"
@@ -15,6 +23,7 @@
 #include "sftbft/dissem/broadcaster.hpp"
 #include "sftbft/harness/scenario.hpp"
 #include "sftbft/net/sim_transport.hpp"
+#include "sftbft/obs/observer.hpp"
 
 namespace sftbft::dissem {
 namespace {
@@ -558,6 +567,197 @@ TEST(ClientSwarm, KeepsBacklogSaturated) {
   EXPECT_EQ(pool.pending(), 40u);
   EXPECT_EQ(frontend.stats().admitted, swarm.submitted());
   swarm.stop();
+}
+
+/// ClientSwarm's refill as it was before the bulk over-budget tick: every
+/// refill submits client by client until the backlog reaches the target or
+/// every client was rejected in a row. The shipped swarm must match it
+/// submission for submission.
+class ReferenceSwarm {
+ public:
+  ReferenceSwarm(sim::Scheduler& sched, AdmissionFrontend& frontend,
+                 mempool::WorkloadConfig workload, DissemConfig config,
+                 Rng rng)
+      : sched_(sched),
+        frontend_(frontend),
+        workload_(workload),
+        config_(config),
+        rng_(rng),
+        client_seq_(std::max<std::uint32_t>(1, config.clients), 0) {}
+
+  void set_id_space(std::uint64_t space) { id_space_ = space; }
+  void start() {
+    top_up();
+    schedule_refill();
+  }
+  void stop() { running_ = false; }
+  [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
+
+ private:
+  void top_up() {
+    const auto clients = static_cast<std::uint32_t>(client_seq_.size());
+    std::size_t rejected_streak = 0;
+    while (frontend_.backlog() < workload_.target_pool_size) {
+      const std::uint32_t client = next_client_;
+      next_client_ = (next_client_ + 1) % clients;
+      const std::uint64_t id = (id_space_ << 40) |
+                               (static_cast<std::uint64_t>(client) << 26) |
+                               client_seq_[client]++;
+      const auto outcome = frontend_.submit(
+          client,
+          types::Transaction{.id = id,
+                             .submitted_at = sched_.now(),
+                             .size_bytes = workload_.txn_size_bytes},
+          sched_.now());
+      if (outcome == AdmissionFrontend::Outcome::kAdmitted) {
+        ++submitted_;
+        rejected_streak = 0;
+        continue;
+      }
+      if (++rejected_streak >= clients) break;
+    }
+  }
+
+  void schedule_refill() {
+    SimDuration wait = config_.batch_interval;
+    if (workload_.mean_interarrival > 0) {
+      wait = std::max<SimDuration>(
+          1, static_cast<SimDuration>(rng_.exponential(
+                 static_cast<double>(workload_.mean_interarrival))));
+    }
+    sched_.schedule_after(wait, [this] {
+      if (!running_) return;
+      top_up();
+      schedule_refill();
+    });
+  }
+
+  sim::Scheduler& sched_;
+  AdmissionFrontend& frontend_;
+  mempool::WorkloadConfig workload_;
+  DissemConfig config_;
+  Rng rng_;
+  std::uint64_t id_space_ = 0;
+  std::uint32_t next_client_ = 0;
+  std::vector<std::uint32_t> client_seq_;
+  std::uint64_t submitted_ = 0;
+  bool running_ = true;
+};
+
+/// Everything a swarm run leaves behind that the bulk tick could change.
+struct SwarmRun {
+  std::vector<std::vector<std::uint64_t>> batches;  ///< ids, in take order
+  std::vector<std::uint64_t> left_over;             ///< pending at the end
+  AdmissionFrontend::Stats stats;
+  std::uint64_t submitted = 0;
+  std::map<std::string, std::uint64_t> counters;
+  std::int64_t backlog_gauge = 0;
+  /// (time, backlog) of every traced admission instant, per event name.
+  std::map<std::string, std::vector<std::pair<SimTime, std::uint64_t>>>
+      instants;
+  /// Probes of all_rate_limited on the consumer's cadence.
+  std::vector<bool> all_limited;
+};
+
+/// Drives a swarm of type `Swarm` for 3.5 simulated seconds with Poisson
+/// refills while a consumer takes a batch every 50 ms (a large one every
+/// fourth time, so demand outruns the rate limits), committing most and
+/// requeueing every third.
+template <typename Swarm>
+SwarmRun run_swarm(DissemConfig config, std::size_t target) {
+  constexpr ReplicaId kSelf = 2;
+  sim::Scheduler sched;
+  obs::Observer observer({.enabled = true, .trace = true, .flight_capacity = 0},
+                         4);
+  config.observer = &observer;
+  config.self = kSelf;
+  mempool::Mempool pool;
+  AdmissionFrontend frontend(pool, config);
+  Swarm swarm(sched, frontend,
+              {.mean_interarrival = millis(10), .target_pool_size = target},
+              config, Rng(17));
+  swarm.set_id_space(kSelf);
+  swarm.start();
+
+  SwarmRun run;
+  int round = 0;
+  std::function<void()> consume = [&] {
+    types::Payload batch = pool.make_batch(round % 4 == 0 ? 60 : 5);
+    std::vector<std::uint64_t>& ids = run.batches.emplace_back();
+    for (const types::Transaction& txn : batch.txns) ids.push_back(txn.id);
+    if (++round % 3 == 0) {
+      pool.requeue(batch);
+    } else {
+      pool.mark_committed(batch);
+    }
+    run.all_limited.push_back(frontend.all_rate_limited(sched.now()));
+    sched.schedule_after(millis(50), consume);
+  };
+  sched.schedule_after(millis(50), consume);
+  sched.run_until(millis(3500));
+  swarm.stop();
+
+  for (const types::Transaction& txn :
+       pool.make_batch(std::numeric_limits<std::size_t>::max()).txns) {
+    run.left_over.push_back(txn.id);
+  }
+  run.stats = frontend.stats();
+  run.submitted = swarm.submitted();
+  run.counters = observer.registry(kSelf).counter_snapshot();
+  run.backlog_gauge = observer.registry(kSelf).gauge(obs::Gauge::kMempoolBacklog);
+  for (const obs::TraceEvent& event : observer.trace().events()) {
+    run.instants[event.name].emplace_back(event.ts, event.args[0].value);
+  }
+  return run;
+}
+
+void expect_same_run(const SwarmRun& bulk, const SwarmRun& ref) {
+  EXPECT_EQ(bulk.batches, ref.batches);
+  EXPECT_EQ(bulk.left_over, ref.left_over);
+  EXPECT_EQ(bulk.stats.admitted, ref.stats.admitted);
+  EXPECT_EQ(bulk.stats.duplicates, ref.stats.duplicates);
+  EXPECT_EQ(bulk.stats.rate_limited, ref.stats.rate_limited);
+  EXPECT_EQ(bulk.stats.backpressured, ref.stats.backpressured);
+  EXPECT_EQ(bulk.submitted, ref.submitted);
+  EXPECT_EQ(bulk.counters, ref.counters);
+  EXPECT_EQ(bulk.backlog_gauge, ref.backlog_gauge);
+  EXPECT_EQ(bulk.instants, ref.instants);
+  EXPECT_EQ(bulk.all_limited, ref.all_limited);
+}
+
+TEST(ClientSwarm, OverBudgetTicksMatchThePerSubmissionLoop) {
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{45}}) {
+    SCOPED_TRACE("mempool_capacity " + std::to_string(capacity));
+    DissemConfig config;
+    config.clients = 7;
+    config.client_rate_limit = 20;
+    config.client_dedup_window = 4;
+    config.mempool_capacity = capacity;
+    const SwarmRun bulk = run_swarm<ClientSwarm>(config, 60);
+    const SwarmRun ref = run_swarm<ReferenceSwarm>(config, 60);
+    expect_same_run(bulk, ref);
+    // Most refill ticks found every budget spent, so the bulk tick ran.
+    ASSERT_TRUE(bulk.instants.contains("reject_rate_limit"));
+    EXPECT_GT(bulk.instants.at("reject_rate_limit").size(),
+              50u * config.clients);
+    EXPECT_GT(std::ranges::count(bulk.all_limited, true), 20);
+    if (capacity != 0) {
+      EXPECT_GT(bulk.stats.backpressured, 0u);
+    }
+  }
+}
+
+TEST(ClientSwarm, NoRateLimitNeverTakesTheBulkTick) {
+  DissemConfig config;
+  config.clients = 7;
+  config.client_rate_limit = 0;
+  config.mempool_capacity = 45;  // rejections come from backpressure only
+  const SwarmRun bulk = run_swarm<ClientSwarm>(config, 60);
+  const SwarmRun ref = run_swarm<ReferenceSwarm>(config, 60);
+  expect_same_run(bulk, ref);
+  EXPECT_EQ(bulk.stats.rate_limited, 0u);
+  EXPECT_GT(bulk.stats.backpressured, 0u);
+  EXPECT_EQ(std::ranges::count(bulk.all_limited, true), 0);
 }
 
 // ----------------------------------------------------- end-to-end (smoke)

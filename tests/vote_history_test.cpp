@@ -1,7 +1,8 @@
 // VoteHistory: per-fork frontier maintenance, marker computation (Fig. 4)
 // and interval computation (Sec. 3.4) on constructed fork trees, plus an
 // equivalence check of the newest-first scan and the record_vote fast path
-// against the plain all-entries loops on seeded random fork trees.
+// against the plain all-entries loops on seeded random fork trees, live and
+// after a restart whose restored entries arrive late or never.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -401,13 +402,15 @@ TEST(VoteHistoryEquivalence, MatchesAllEntriesLoopsOnRandomForks) {
     // (withheld blocks and their descendants are unknown), restored from
     // the exported frontier or from the whole vote log (WAL replay, where
     // unknown records on one fork are kept side by side until re-learned),
-    // maybe reordered.
+    // maybe reordered. Some withheld blocks arrive later; the lost ones
+    // never do, as fork blocks a restarted replica voted before its crash
+    // and sync never fetches.
     chain::BlockTree restored;
     std::vector<Block> withheld;
     std::vector<types::BlockId> known_ids;
     for (const Block& block : history) {
       if (rng.chance(0.3)) {
-        withheld.push_back(block);
+        if (!rng.chance(0.4)) withheld.push_back(block);  // else lost
       } else {
         restored.insert(block);
         known_ids.push_back(block.id);
@@ -423,8 +426,8 @@ TEST(VoteHistoryEquivalence, MatchesAllEntriesLoopsOnRandomForks) {
     expect_same(restored, fast_restored, ref_restored, known_ids, rng,
                 "restore seed " + std::to_string(seed));
 
-    // Sync delivers the withheld blocks in round order while new blocks
-    // and votes keep coming.
+    // Sync delivers the withheld (not the lost) blocks in round order
+    // while new blocks and votes keep coming.
     std::size_t next_withheld = 0;
     for (int step = 0; step < kSteps; ++step) {
       if (next_withheld < withheld.size() && rng.chance(0.3)) {
