@@ -216,6 +216,47 @@ void BM_EndorsementProcessQc(benchmark::State& state) {
 }
 BENCHMARK(BM_EndorsementProcessQc);
 
+/// The live steady state of the same bookkeeping (n = 50): each strong-QC
+/// of 2f+1 marker votes certifies the child of the last certified block.
+/// Per-iteration cost is one process_qc on a warm tracker; a fresh tracker
+/// restarts the chain (untimed) every kChain QCs.
+void BM_EndorsementProcessQcSteady(benchmark::State& state) {
+  const std::uint32_t n = 50, f = 16;
+  constexpr std::size_t kChain = 512;
+  std::vector<types::BlockId> ids;
+  const chain::BlockTree tree = make_chain(kChain, &ids);
+  std::vector<types::QuorumCert> qcs;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    types::QuorumCert qc;
+    qc.block_id = ids[i];
+    qc.round = i + 1;
+    qc.parent_id = i == 0 ? tree.genesis_id() : ids[i - 1];
+    qc.parent_round = i;
+    // Structural assembly: the tracker reads voter + meta only.
+    for (ReplicaId voter = 0; voter < 2 * f + 1; ++voter) {
+      types::VoteMeta meta;
+      meta.mode = types::VoteMode::Marker;
+      qc.votes.push_back({voter, meta});
+      qc.agg.signers.set(voter);
+    }
+    qc.canonicalize();
+    benchmark::DoNotOptimize(qc.digest());  // memoized, as on the wire path
+    qcs.push_back(std::move(qc));
+  }
+  auto tracker = std::make_unique<core::StrengthTracker>(tree, n, f);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == qcs.size()) {
+      state.PauseTiming();
+      tracker = std::make_unique<core::StrengthTracker>(tree, n, f);
+      next = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(tracker->process_qc(qcs[next++]));
+  }
+}
+BENCHMARK(BM_EndorsementProcessQcSteady);
+
 types::QuorumCert make_wide_qc() {
   types::QuorumCert qc;
   qc.round = 4;
@@ -652,6 +693,31 @@ void BM_EncoderAppendNoReserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncoderAppendNoReserve);
+
+/// Scheduler bookkeeping per event with ~1k events pending (a live n = 50
+/// run's order of magnitude): schedule one event at a varying delay, cancel
+/// every fourth one (a re-armed timer), and dispatch the earliest.
+void BM_SchedulerScheduleDispatch(benchmark::State& state) {
+  sim::Scheduler sched;
+  std::uint64_t fired = 0;
+  const auto callback = [&fired] { ++fired; };
+  std::uint64_t i = 0;
+  const auto delay = [&i] {
+    return static_cast<SimDuration>(1 + (i * 7919) % 997);
+  };
+  for (; i < 1024; ++i) sched.schedule_after(delay(), callback);
+  sim::TimerId rearmed = sim::kInvalidTimer;
+  for (auto _ : state) {
+    const sim::TimerId id = sched.schedule_after(delay(), callback);
+    if (++i % 4 == 0) {
+      sched.cancel(rearmed);
+      rearmed = id;
+    }
+    benchmark::DoNotOptimize(sched.run_one());
+  }
+  benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_SchedulerScheduleDispatch);
 
 void BM_IntervalSetOps(benchmark::State& state) {
   for (auto _ : state) {

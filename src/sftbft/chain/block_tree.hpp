@@ -78,6 +78,15 @@ class BlockTree {
   /// Children of a block (possibly several under equivocation).
   [[nodiscard]] std::vector<const Block*> children_of(const BlockId& id) const;
 
+  /// Calls `fn(const Block&)` on each child, in children_of() order,
+  /// without building a vector (the strength tracker's per-QC path).
+  template <typename Fn>
+  void for_each_child(const BlockId& id, Fn&& fn) const {
+    if (const Node* node = find(id)) {
+      for (const Node* child : node->children) fn(child->block);
+    }
+  }
+
   /// Blocks on the path from (excluding) `ancestor` to (including)
   /// `descendant`, oldest first. Empty when not on one chain.
   [[nodiscard]] std::vector<const Block*> path(const BlockId& ancestor,

@@ -20,9 +20,23 @@
 // Either way "voter endorses (block, threshold t)" is `marker < t`, so one
 // count query serves both: the chained strong 3-chain rule evaluates each
 // block at its own round, the Streamlet strong commit rule at the committed
-// block's height k. The walk per vote is the paper's "marginal bookkeeping":
-// ancestors are visited from the voted block downward and the marker prunes
-// the walk.
+// block's height k.
+//
+// Storage is dense: each block the tracker has heard of owns one Record
+// holding n marker slots (one per replica id, ~0 = "not recorded") in a
+// shared arena, the count of recorded slots and the block's head strength.
+// A threshold query scans n slots and yields voters in ascending id order;
+// the round-domain count at the block's own round is the stored count.
+// Voter ids >= n can only come from a certificate that fails verification;
+// they are ignored, like votes for unknown blocks (under-counting never
+// harms safety).
+//
+// The walk is the paper's "marginal bookkeeping": a QC is ingested by one
+// walk from the voted block downward, level by level, carrying the voters
+// still active. A voter drops out exactly where its own per-vote walk would
+// stop (an already-recorded slot, a non-endorsing Marker/Plain vote, an
+// Intervals vote below its smallest endorsed round), so each ancestor is
+// looked up once per QC rather than once per vote.
 //
 // CountingRule::NaiveAllIndirect implements the Appendix-C strawman (count
 // every indirect vote, ignore voting history). It exists only to demonstrate
@@ -32,6 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -114,12 +129,27 @@ class StrengthTracker {
   [[nodiscard]] CountingRule rule() const { return rule_; }
 
  private:
-  /// Adds `voter`'s endorsements from a chain vote for `block_id` cast at
-  /// `voted_round`, carrying `meta` — the per-voter shape certificates keep;
-  /// records every block whose endorser set actually grew into `touched`.
-  void ingest_chain_vote(const types::BlockId& block_id, Round voted_round,
-                         ReplicaId voter, const types::VoteMeta& meta,
-                         std::vector<types::BlockId>& touched);
+  /// Marker slot value for "voter not recorded on this block".
+  static constexpr std::uint64_t kUnrecorded = ~std::uint64_t{0};
+
+  struct Record {
+    std::size_t base = 0;         ///< first of this block's n arena slots
+    std::uint32_t count = 0;      ///< recorded (non-kUnrecorded) slots
+    std::uint32_t head_strength = 0;
+  };
+
+  /// Adds the endorsements of `votes`, all cast for `block_id` at
+  /// `voted_round` (one QC, or one extra vote), in a single walk down the
+  /// ancestor chain; records every block whose endorser set actually grew
+  /// into `touched`.
+  void ingest_chain_votes(const types::BlockId& block_id, Round voted_round,
+                          std::span<const types::QcVote> votes,
+                          std::vector<types::BlockId>& touched);
+
+  /// Re-evaluates the 3-chains around every touched block (sorted and
+  /// deduplicated first, so updates come out in BlockId order).
+  void reevaluate_touched(std::vector<types::BlockId>& touched,
+                          std::vector<StrengthUpdate>& updates);
 
   /// Re-evaluates 3-chains around a block whose count changed.
   void reevaluate(const types::BlockId& id,
@@ -130,18 +160,25 @@ class StrengthTracker {
   void evaluate_head(const types::Block& head,
                      std::vector<StrengthUpdate>& updates);
 
+  /// The block's record, created with every slot unrecorded.
+  Record& record(const types::BlockId& id);
+  [[nodiscard]] const Record* find_record(const types::BlockId& id) const;
+
+  /// Sets `rec`'s slot for `voter` to `marker`, counting a fresh slot.
+  void set_slot(Record& rec, ReplicaId voter, std::uint64_t marker);
+
   const chain::BlockTree* tree_;
   std::uint32_t n_;
   std::uint32_t f_;
   CountingRule rule_;
 
-  /// Per block, each voter's most permissive recorded marker ("endorses any
-  /// threshold t > marker").
-  std::unordered_map<types::BlockId,
-                     std::unordered_map<ReplicaId, std::uint64_t>>
-      min_marker_;
-  std::unordered_map<types::BlockId, std::uint32_t> head_strength_;
+  std::unordered_map<types::BlockId, Record> records_;
+  /// n marker slots per record: a voter's most permissive recorded marker
+  /// ("endorses any threshold t > marker").
+  std::vector<std::uint64_t> slots_;
   std::unordered_set<crypto::Sha256Digest> seen_qcs_;
+  /// Scratch for ingest_chain_votes: indices of the votes still walking.
+  std::vector<std::uint32_t> active_;
 };
 
 /// The Fig. 11 strong commit rule for the triple centred at `middle`: finds

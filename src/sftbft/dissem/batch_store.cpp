@@ -24,6 +24,13 @@ const Batch* BatchStore::find(const crypto::Sha256Digest& digest) const {
 
 types::Payload BatchStore::make_payload(std::size_t max_batches, SimTime now,
                                         SimDuration repropose_after) {
+  // Committed is final, so committed digests at the front are dead weight
+  // that every later scan would skip again.
+  while (!order_.empty()) {
+    const auto it = entries_.find(order_.front());
+    if (it != entries_.end() && it->second.status != Status::kCommitted) break;
+    order_.pop_front();
+  }
   std::vector<crypto::Sha256Digest> digests;
   for (const crypto::Sha256Digest& digest : order_) {
     if (digests.size() >= max_batches) break;

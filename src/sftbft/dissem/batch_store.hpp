@@ -113,7 +113,9 @@ class BatchStore {
 
   ReplicaId owner_;
   std::unordered_map<crypto::Sha256Digest, Entry> entries_;
-  /// Proposable scan order (arrival order; lazily pruned).
+  /// Proposable scan order (arrival order). make_payload pops Committed
+  /// digests off the front; no state leads out of Committed, so they could
+  /// never be proposed again.
   std::deque<crypto::Sha256Digest> order_;
   /// Committed before the data arrived (sync path); add() consults this.
   std::unordered_set<crypto::Sha256Digest> committed_missing_;

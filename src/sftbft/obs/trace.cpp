@@ -184,21 +184,28 @@ FlightRecorder::FlightRecorder(std::uint32_t n,
 
 void FlightRecorder::append(const TraceEvent& event) {
   if (event.replica >= rings_.size()) return;
-  std::deque<TraceEvent>& ring = rings_[event.replica];
-  if (ring.size() == capacity_) {
-    ring.pop_front();
-    ++evicted_[event.replica];
+  Ring& ring = rings_[event.replica];
+  if (ring.events.size() < capacity_) {
+    ring.events.push_back(event);
+    return;
   }
-  ring.push_back(event);
+  ring.events[ring.next] = event;
+  if (++ring.next == capacity_) ring.next = 0;
+  ++evicted_[event.replica];
 }
 
 std::vector<TraceEvent> FlightRecorder::snapshot() const {
   std::vector<TraceEvent> all;
   std::size_t total = 0;
-  for (const auto& ring : rings_) total += ring.size();
+  for (const Ring& ring : rings_) total += ring.events.size();
   all.reserve(total);
-  for (const auto& ring : rings_) all.insert(all.end(), ring.begin(),
-                                             ring.end());
+  for (const Ring& ring : rings_) {
+    // Oldest first: the slots from `next` on, then the wrapped-over front.
+    const auto split = ring.events.begin() +
+                       static_cast<std::ptrdiff_t>(ring.next);
+    all.insert(all.end(), split, ring.events.end());
+    all.insert(all.end(), ring.events.begin(), split);
+  }
   std::stable_sort(all.begin(), all.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts < b.ts;

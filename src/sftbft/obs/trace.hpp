@@ -41,7 +41,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -126,7 +125,7 @@ class FlightRecorder {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t size(ReplicaId replica) const {
-    return rings_[replica].size();
+    return rings_[replica].events.size();
   }
   /// Events evicted (overwritten) from one replica's ring so far.
   [[nodiscard]] std::uint64_t evicted(ReplicaId replica) const {
@@ -142,8 +141,15 @@ class FlightRecorder {
   [[nodiscard]] std::string dump() const;
 
  private:
+  struct Ring {
+    /// Grows to the capacity once, then is overwritten in place.
+    std::vector<TraceEvent> events;
+    /// Next slot to overwrite once full: the oldest retained event.
+    std::size_t next = 0;
+  };
+
   std::size_t capacity_;
-  std::vector<std::deque<TraceEvent>> rings_;
+  std::vector<Ring> rings_;
   std::vector<std::uint64_t> evicted_;
 };
 

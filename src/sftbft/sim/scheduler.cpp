@@ -7,9 +7,18 @@ namespace sftbft::sim {
 
 TimerId Scheduler::schedule_at(SimTime t, Callback cb) {
   assert(t >= now_ && "cannot schedule into the past");
-  const TimerId id = next_seq_++;
-  heap_.push(Event{.time = t < now_ ? now_ : t, .seq = id, .id = id});
-  callbacks_.emplace(id, std::move(cb));
+  auto slot = static_cast<std::uint32_t>(slots_.size());
+  if (free_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  slots_[slot].cb = std::move(cb);
+  ++live_;
+  const TimerId id =
+      (static_cast<TimerId>(slots_[slot].gen) << 32) | (TimerId{slot} + 1);
+  heap_.push(Event{.time = t < now_ ? now_ : t, .seq = next_seq_++, .id = id});
   return id;
 }
 
@@ -18,14 +27,29 @@ TimerId Scheduler::schedule_after(SimDuration delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
-void Scheduler::cancel(TimerId id) { callbacks_.erase(id); }
+bool Scheduler::live(TimerId id) const {
+  const std::uint32_t slot = slot_of(id);
+  return slot < slots_.size() &&
+         slots_[slot].gen == static_cast<std::uint32_t>(id >> 32);
+}
+
+void Scheduler::release(std::uint32_t slot) {
+  slots_[slot].cb = nullptr;
+  ++slots_[slot].gen;
+  free_.push_back(slot);
+  --live_;
+}
+
+void Scheduler::cancel(TimerId id) {
+  if (live(id)) release(slot_of(id));
+}
 
 bool Scheduler::dispatch(const Event& ev) {
-  auto it = callbacks_.find(ev.id);
-  if (it == callbacks_.end()) return false;  // cancelled
+  if (!live(ev.id)) return false;  // cancelled
   now_ = ev.time;
-  Callback cb = std::move(it->second);
-  callbacks_.erase(it);
+  const std::uint32_t slot = slot_of(ev.id);
+  Callback cb = std::move(slots_[slot].cb);
+  release(slot);
   ++processed_;
   cb();
   return true;

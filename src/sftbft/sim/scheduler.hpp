@@ -6,12 +6,22 @@
 // traces. This determinism is load-bearing: the liveness tests assert the
 // paper's exact theorem bounds (e.g. "(2f−c)-strong committed within n + 2
 // rounds", Theorem 2).
+//
+// Callbacks live in a slot arena: a vector of {callback, generation} slots
+// with a free list, so scheduling, cancelling and dispatching are array
+// work. A TimerId packs `generation << 32 | (slot + 1)` (never
+// kInvalidTimer). Freeing a slot bumps its generation, so the id of a fired
+// or cancelled event stops matching and cancel() / dispatch() treat it as
+// gone even after the slot holds a new event; the heap entry of a cancelled
+// event is skipped when popped. The generation is 32 bits: a stale id could
+// alias only after 2^32 reuses of its slot while it was still held, far
+// beyond any run. Event order is the (time, seq) heap alone, so the arena
+// cannot reorder events.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sftbft/common/types.hpp"
@@ -57,7 +67,7 @@ class Scheduler {
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
   /// Number of live (scheduled, not yet fired or cancelled) events.
-  [[nodiscard]] std::size_t pending() const { return callbacks_.size(); }
+  [[nodiscard]] std::size_t pending() const { return live_; }
 
  private:
   struct Event {
@@ -72,17 +82,32 @@ class Scheduler {
     }
   };
 
+  struct Slot {
+    Callback cb;
+    std::uint32_t gen = 0;  ///< bumped each time the slot is freed
+  };
+
   /// Runs `ev` and advances the clock to it, unless it was cancelled (its
-  /// callback is gone): then returns false and leaves the clock alone.
+  /// id no longer matches its slot): then returns false and leaves the
+  /// clock alone.
   bool dispatch(const Event& ev);
+
+  /// The arena index an id names (kInvalidTimer maps past any slot).
+  static std::uint32_t slot_of(TimerId id) {
+    return static_cast<std::uint32_t>(id) - 1;
+  }
+  /// True iff `id`'s event is scheduled and not yet fired or cancelled.
+  [[nodiscard]] bool live(TimerId id) const;
+  /// Empties a live slot and returns it to the free list.
+  void release(std::uint32_t slot);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
-  /// Live events only: cancel() erases the entry, and the heap entry is
-  /// skipped when popped.
-  std::unordered_map<TimerId, Callback> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  ///< freed slot indices, reused LIFO
+  std::size_t live_ = 0;
 };
 
 }  // namespace sftbft::sim

@@ -144,6 +144,11 @@ TEST_F(BlockTreeTest, ChildrenTracksEquivocation) {
   tree_.insert(c1);
   tree_.insert(c2);
   EXPECT_EQ(tree_.children_of(b1.id).size(), 2u);
+
+  // The non-allocating visit sees the same children in the same order.
+  std::vector<const Block*> visited;
+  tree_.for_each_child(b1.id, [&](const Block& c) { visited.push_back(&c); });
+  EXPECT_EQ(visited, tree_.children_of(b1.id));
 }
 
 TEST_F(BlockTreeTest, QueriesOnUnknownIdsAreSafe) {
@@ -154,6 +159,9 @@ TEST_F(BlockTreeTest, QueriesOnUnknownIdsAreSafe) {
   EXPECT_FALSE(tree_.extends(unknown, genesis_.id));
   EXPECT_FALSE(tree_.conflicts(unknown, genesis_.id));
   EXPECT_TRUE(tree_.children_of(unknown).empty());
+  int visits = 0;
+  tree_.for_each_child(unknown, [&](const Block&) { ++visits; });
+  EXPECT_EQ(visits, 0);
   EXPECT_FALSE(tree_.three_chain_from(unknown).has_value());
 }
 

@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "sftbft/common/rng.hpp"
 #include "sftbft/core/committer.hpp"
 #include "sftbft/core/payloads.hpp"
 #include "sftbft/dissem/admission.hpp"
@@ -164,6 +168,212 @@ TEST(BatchStore, LateBatchForCommittedDigestFilesAsCommitted) {
                 .txn_count,
             0u);
   EXPECT_TRUE(missing2.empty());
+}
+
+// The BatchStore as it was before make_payload pruned committed digests
+// off the front of its scan order (the scan, state machine and resolution
+// verbatim): the oracle the pruned store must match call for call.
+class UnprunedBatchStore {
+ public:
+  using Status = BatchStore::Status;
+
+  explicit UnprunedBatchStore(ReplicaId owner) : owner_(owner) {}
+
+  bool add(std::shared_ptr<const Batch> batch) {
+    const crypto::Sha256Digest digest = batch->digest;
+    auto [it, inserted] = entries_.try_emplace(digest, Entry{std::move(batch)});
+    if (!inserted) return false;
+    if (committed_missing_.erase(digest) > 0) {
+      it->second.status = Status::kCommitted;
+      ++committed_batches_;
+      return true;
+    }
+    order_.push_back(digest);
+    return true;
+  }
+
+  types::Payload make_payload(std::size_t max_batches, SimTime now,
+                              SimDuration repropose_after) {
+    std::vector<crypto::Sha256Digest> digests;
+    for (const crypto::Sha256Digest& digest : order_) {
+      if (digests.size() >= max_batches) break;
+      const auto it = entries_.find(digest);
+      if (it == entries_.end()) continue;
+      Entry& entry = it->second;
+      const bool stale_reference =
+          entry.status == Status::kProposed &&
+          now - entry.proposed_at >= repropose_after;
+      if (entry.status != Status::kAvailable && !stale_reference) continue;
+      entry.status = Status::kProposed;
+      entry.proposed_at = now;
+      digests.push_back(digest);
+    }
+    return types::Payload::referencing(std::move(digests));
+  }
+
+  std::vector<crypto::Sha256Digest> missing(
+      const types::Payload& payload) const {
+    std::vector<crypto::Sha256Digest> out;
+    for (const crypto::Sha256Digest& digest : payload.batch_digests) {
+      if (!entries_.contains(digest)) out.push_back(digest);
+    }
+    return out;
+  }
+
+  void observe_reference(const types::Payload& payload, SimTime now) {
+    for (const crypto::Sha256Digest& digest : payload.batch_digests) {
+      const auto it = entries_.find(digest);
+      if (it == entries_.end()) continue;
+      if (it->second.status != Status::kAvailable) continue;
+      it->second.status = Status::kProposed;
+      it->second.proposed_at = now;
+    }
+  }
+
+  void requeue(const types::Payload& payload) {
+    for (const crypto::Sha256Digest& digest : payload.batch_digests) {
+      const auto it = entries_.find(digest);
+      if (it == entries_.end()) continue;
+      if (it->second.status == Status::kProposed) {
+        it->second.status = Status::kAvailable;
+      }
+    }
+  }
+
+  BatchStore::Resolved resolve_committed(
+      const types::Payload& payload,
+      std::vector<crypto::Sha256Digest>& missing_out) {
+    BatchStore::Resolved out;
+    for (const crypto::Sha256Digest& digest : payload.batch_digests) {
+      const auto it = entries_.find(digest);
+      if (it == entries_.end()) {
+        if (committed_missing_.insert(digest).second) {
+          missing_out.push_back(digest);
+        }
+        continue;
+      }
+      Entry& entry = it->second;
+      if (entry.status == Status::kCommitted) continue;
+      entry.status = Status::kCommitted;
+      ++committed_batches_;
+      const std::vector<types::Transaction>& txns = entry.batch->txns;
+      out.txn_count += txns.size();
+      if (entry.batch->creator == owner_) {
+        out.own.txns.insert(out.own.txns.end(), txns.begin(), txns.end());
+      }
+    }
+    return out;
+  }
+
+  std::size_t size() const { return entries_.size(); }
+  std::size_t proposable() const {
+    std::size_t count = 0;
+    for (const auto& [digest, entry] : entries_) {
+      count += entry.status == Status::kAvailable;
+    }
+    return count;
+  }
+  std::uint64_t committed_batches() const { return committed_batches_; }
+
+ private:
+  struct Entry {
+    std::shared_ptr<const Batch> batch;
+    Status status = Status::kAvailable;
+    SimTime proposed_at = 0;
+  };
+
+  ReplicaId owner_;
+  std::unordered_map<crypto::Sha256Digest, Entry> entries_;
+  std::deque<crypto::Sha256Digest> order_;
+  std::unordered_set<crypto::Sha256Digest> committed_missing_;
+  std::uint64_t committed_batches_ = 0;
+};
+
+TEST(BatchStore, PrunedScanMatchesUnprunedStore) {
+  // Random add / make_payload / observe_reference / requeue /
+  // resolve_committed sequences, including duplicate adds, digests that
+  // commit before their batch arrives, fork re-commits and stale
+  // re-proposals: every return value and counter must match the oracle.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    constexpr ReplicaId kOwner = 1;
+    BatchStore store(kOwner);
+    UnprunedBatchStore oracle(kOwner);
+    std::vector<Batch> batches;      // every batch created so far
+    std::vector<types::Payload> payloads;  // proposed or observed so far
+    std::uint64_t next_seq = 0;
+    SimTime now = 0;
+    const auto pick = [&rng](std::size_t size) {
+      return static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(size) - 1));
+    };
+    // A random reference set: known batches, plus sometimes one not yet
+    // created (it arrives later, after its commit).
+    const auto random_payload = [&] {
+      std::vector<crypto::Sha256Digest> digests;
+      const int count = static_cast<int>(rng.uniform(1, 4));
+      for (int i = 0; i < count && !batches.empty(); ++i) {
+        digests.push_back(batches[pick(batches.size())].digest);
+      }
+      if (rng.chance(0.1)) {
+        const auto creator = static_cast<ReplicaId>(rng.uniform(0, 3));
+        batches.push_back(make_batch(creator, next_seq, {next_seq}));
+        ++next_seq;
+        digests.push_back(batches.back().digest);
+      }
+      return types::Payload::referencing(std::move(digests));
+    };
+
+    for (int step = 0; step < 600; ++step) {
+      now += static_cast<SimTime>(rng.uniform(0, 700'000));
+      const double op = rng.uniform01();
+      if (op < 0.3) {
+        const bool again = !batches.empty() && rng.chance(0.3);
+        if (!again) {
+          const auto creator = static_cast<ReplicaId>(rng.uniform(0, 3));
+          batches.push_back(
+              make_batch(creator, next_seq, {next_seq, next_seq + 1}));
+          next_seq += 2;
+        }
+        const Batch& batch =
+            again ? batches[pick(batches.size())] : batches.back();
+        ASSERT_EQ(store.add(shared(batch)), oracle.add(shared(batch)));
+      } else if (op < 0.55) {
+        const auto max = static_cast<std::size_t>(rng.uniform(1, 5));
+        const types::Payload got = store.make_payload(max, now, seconds(2));
+        ASSERT_EQ(got, oracle.make_payload(max, now, seconds(2)));
+        payloads.push_back(got);
+      } else if (op < 0.65) {
+        const types::Payload payload = random_payload();
+        ASSERT_EQ(store.missing(payload), oracle.missing(payload));
+        store.observe_reference(payload, now);
+        oracle.observe_reference(payload, now);
+        payloads.push_back(payload);
+      } else if (op < 0.75) {
+        if (payloads.empty()) continue;
+        const types::Payload& payload = payloads[pick(payloads.size())];
+        store.requeue(payload);
+        oracle.requeue(payload);
+      } else {
+        const types::Payload payload =
+            !payloads.empty() && rng.chance(0.7)
+                ? payloads[pick(payloads.size())]
+                : random_payload();
+        std::vector<crypto::Sha256Digest> missing;
+        std::vector<crypto::Sha256Digest> oracle_missing;
+        const BatchStore::Resolved got =
+            store.resolve_committed(payload, missing);
+        const BatchStore::Resolved want =
+            oracle.resolve_committed(payload, oracle_missing);
+        ASSERT_EQ(got.txn_count, want.txn_count);
+        ASSERT_EQ(got.own, want.own);
+        ASSERT_EQ(missing, oracle_missing);
+      }
+      ASSERT_EQ(store.size(), oracle.size()) << "seed " << seed;
+      ASSERT_EQ(store.proposable(), oracle.proposable()) << "seed " << seed;
+      ASSERT_EQ(store.committed_batches(), oracle.committed_batches());
+    }
+  }
 }
 
 TEST(Committer, OnlyOwnBatchesReachTheMempool) {

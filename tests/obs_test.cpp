@@ -286,6 +286,27 @@ TEST(FlightRecorder, RingEvictsOldestAndCountsEvictions) {
   EXPECT_NE(dump.find("pacemaker/round_enter"), std::string::npos);
 }
 
+TEST(FlightRecorder, WrappedRingKeepsAppendOrderAtEqualTimestamps) {
+  // snapshot() sorts stably by ts, so equal-ts events keep ring order: the
+  // oldest retained first, across the ring's wrap point.
+  FlightRecorder recorder(/*n=*/1, /*capacity=*/3);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    recorder.append(instant_event("dissem", "pack", 0, 100, {"seq", i}));
+  }
+  EXPECT_EQ(recorder.evicted(0), 2u);
+  std::vector<std::uint64_t> seqs;
+  for (const TraceEvent& event : recorder.snapshot()) {
+    seqs.push_back(event.args[0].value);
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{2, 3, 4}));
+  recorder.append(instant_event("dissem", "pack", 0, 100, {"seq", 5}));
+  seqs.clear();
+  for (const TraceEvent& event : recorder.snapshot()) {
+    seqs.push_back(event.args[0].value);
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{3, 4, 5}));
+}
+
 // ---------------------------------------------------------------------------
 // Cross-engine conformance through real scenario runs
 

@@ -1,5 +1,6 @@
 // Discrete-event scheduler: ordering, FIFO tie-breaking, cancellation,
-// bounded runs — the determinism substrate every experiment relies on.
+// bounded runs, callback-slot reuse — the determinism substrate every
+// experiment relies on.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -145,6 +146,81 @@ TEST(Scheduler, MaxEventsBoundsRun) {
   sched.schedule_at(0, loop);
   sched.run_until_idle(100);
   EXPECT_EQ(sched.events_processed(), 100u);
+}
+
+// --- callback slot reuse -----------------------------------------------------
+
+TEST(Scheduler, CancellingAFiredIdSparesTheSlotsNewOccupant) {
+  Scheduler sched;
+  const TimerId first = sched.schedule_at(10, [] {});
+  ASSERT_TRUE(sched.run_one());
+  // The freed slot is reused by the next event; the stale id must not
+  // reach it.
+  bool fired = false;
+  const TimerId second = sched.schedule_at(20, [&] { fired = true; });
+  EXPECT_NE(first, second);
+  EXPECT_NE(second, kInvalidTimer);
+  sched.cancel(first);
+  EXPECT_EQ(sched.pending(), 1u);
+  sched.run_until_idle();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Scheduler, CancelledHeapEntryIsSkippedAfterItsSlotIsReused) {
+  Scheduler sched;
+  std::vector<int> order;
+  const TimerId cancelled = sched.schedule_at(10, [&] { order.push_back(0); });
+  sched.cancel(cancelled);
+  // Reuses the cancelled event's slot while its heap entry (t=10) is still
+  // queued; popping that entry must not run the new occupant early.
+  sched.schedule_at(30, [&] { order.push_back(30); });
+  sched.schedule_at(20, [&] { order.push_back(20); });
+  EXPECT_EQ(sched.pending(), 2u);
+  ASSERT_TRUE(sched.run_one());
+  EXPECT_EQ(sched.now(), 20);
+  sched.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{20, 30}));
+  EXPECT_EQ(sched.events_processed(), 2u);
+}
+
+TEST(Scheduler, EqualTimesStayFifoAcrossSlotReuse) {
+  Scheduler sched;
+  std::vector<int> order;
+  // Free slots in a scrambled order, then schedule equal-time events into
+  // them: firing order must follow scheduling order, not slot order.
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(sched.schedule_at(5, [] {}));
+  for (const int i : {3, 0, 5, 1}) sched.cancel(ids[i]);
+  for (int i = 0; i < 6; ++i) {
+    sched.schedule_at(50, [&order, i] { order.push_back(i); });
+  }
+  sched.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sched.events_processed(), 8u);
+}
+
+TEST(Scheduler, PendingTracksScheduleCancelAndFire) {
+  Scheduler sched;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(sched.schedule_at(10 * (i + 1), [] {}));
+  }
+  EXPECT_EQ(sched.pending(), 5u);
+  sched.cancel(ids[1]);
+  sched.cancel(ids[1]);
+  EXPECT_EQ(sched.pending(), 4u);
+  ASSERT_TRUE(sched.run_one());  // t=10
+  EXPECT_EQ(sched.pending(), 3u);
+  sched.cancel(ids[0]);  // already fired
+  EXPECT_EQ(sched.pending(), 3u);
+  // A callback that schedules reuses a slot freed before it ran.
+  sched.schedule_at(25, [&] { sched.schedule_after(1, [] {}); });
+  EXPECT_EQ(sched.pending(), 4u);
+  sched.run_until(25);
+  EXPECT_EQ(sched.pending(), 4u);  // t=25 fired and added t=26
+  sched.run_until_idle();
+  EXPECT_EQ(sched.pending(), 0u);
+  EXPECT_EQ(sched.events_processed(), 6u);
 }
 
 }  // namespace
