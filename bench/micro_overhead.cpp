@@ -218,9 +218,13 @@ BENCHMARK(BM_EndorsementProcessQc);
 
 /// The live steady state of the same bookkeeping (n = 50): each strong-QC
 /// of 2f+1 marker votes certifies the child of the last certified block.
-/// Per-iteration cost is one process_qc on a warm tracker; a fresh tracker
-/// restarts the chain (untimed) every kChain QCs.
-void BM_EndorsementProcessQcSteady(benchmark::State& state) {
+/// QC i's voters are replicas (i * shift + j) mod n for j < 2f+1, so
+/// `shift` = 0 keeps one voter set and `shift` = 1 rotates it by one
+/// replica per QC (each voter then rejoins after missing n - 2f - 1 QCs and
+/// its vote walks back over those ancestors). Per-iteration cost is one
+/// process_qc on a warm tracker; a fresh tracker restarts the chain
+/// (untimed) every kChain QCs.
+void process_qc_chain(benchmark::State& state, std::uint32_t shift) {
   const std::uint32_t n = 50, f = 16;
   constexpr std::size_t kChain = 512;
   std::vector<types::BlockId> ids;
@@ -233,7 +237,8 @@ void BM_EndorsementProcessQcSteady(benchmark::State& state) {
     qc.parent_id = i == 0 ? tree.genesis_id() : ids[i - 1];
     qc.parent_round = i;
     // Structural assembly: the tracker reads voter + meta only.
-    for (ReplicaId voter = 0; voter < 2 * f + 1; ++voter) {
+    for (std::uint32_t j = 0; j < 2 * f + 1; ++j) {
+      const auto voter = static_cast<ReplicaId>((i * shift + j) % n);
       types::VoteMeta meta;
       meta.mode = types::VoteMode::Marker;
       qc.votes.push_back({voter, meta});
@@ -255,7 +260,16 @@ void BM_EndorsementProcessQcSteady(benchmark::State& state) {
     benchmark::DoNotOptimize(tracker->process_qc(qcs[next++]));
   }
 }
+
+void BM_EndorsementProcessQcSteady(benchmark::State& state) {
+  process_qc_chain(state, /*shift=*/0);
+}
 BENCHMARK(BM_EndorsementProcessQcSteady);
+
+void BM_EndorsementProcessQcRotatingVoters(benchmark::State& state) {
+  process_qc_chain(state, /*shift=*/1);
+}
+BENCHMARK(BM_EndorsementProcessQcRotatingVoters);
 
 types::QuorumCert make_wide_qc() {
   types::QuorumCert qc;

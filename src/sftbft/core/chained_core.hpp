@@ -7,13 +7,14 @@
 // Sec.-5 commit-Log sealing, commit-chain walks (Committer), block sync
 // (SyncClient), and the audit tap. Block payloads come from and return to
 // core::Payloads, which alone knows whether they travel inline or as batch
-// digests. Concrete protocols are thin rule sets over this kernel:
+// digests. A concrete protocol is one voting predicate over this kernel
+// (CoreConfig::safe_to_vote):
 //
-//   * DiemBFT (consensus::diembft_rules — the kernel default): Fig. 2
-//     voting rule, parent.round >= r_lock;
-//   * chained HotStuff (hotstuff::rules): the original HotStuff liveness
-//     rule — vote iff the block extends the locked block OR its QC ranks
-//     higher than the lock.
+//   * DiemBFT (diembft_safe_to_vote — the default): Fig. 2 voting rule,
+//     parent.round >= r_lock;
+//   * chained HotStuff (hotstuff::safe_to_vote): the original HotStuff
+//     liveness rule — vote iff the block extends the locked block OR its
+//     QC ranks higher than the lock.
 //
 // Within one protocol, three variants are selected by CoreMode:
 //   * Plain        — the unmodified base protocol: plain votes, regular
@@ -28,7 +29,8 @@
 //
 // The core is transport-agnostic: outbound traffic goes through Hooks, and
 // inbound messages are fed to on_proposal / on_vote / on_timeout_msg. The
-// replica module wires it to the network with the protocol's wire tags.
+// replica module wires it to the network under the kernel's wire tags,
+// which every chained protocol shares.
 #pragma once
 
 #include <functional>
@@ -65,23 +67,10 @@ enum class CoreMode {
   SftIntervals,  ///< SFT with interval votes (Sec. 3.4)
 };
 
-/// The protocol-specific rule slots of the chained kernel. A protocol is a
-/// named set of predicates over kernel state; everything else (message
-/// flow, aggregation, commit machinery) is shared.
-struct ChainedRules {
-  const char* name = "diembft";
-  /// Locking check of the voting rule, evaluated after the universal
-  /// SafetyRules preconditions (r > r_vote, rounds increase). Null = the
-  /// DiemBFT Fig. 2 rule (diembft_safe_to_vote below), the kernel's
-  /// reference protocol.
-  bool (*safe_to_vote)(const types::Block& block, const SafetyRules& safety,
-                       const chain::BlockTree& tree) = nullptr;
-};
-
-/// DiemBFT's Fig. 2 locking check — the kernel's default rule: the parent
-/// (whose round the embedded QC carries) must be at least as recent as the
-/// lock. Exported so consensus::diembft_rules() can name it explicitly and
-/// tests can exercise it directly; there is exactly one implementation.
+/// DiemBFT's Fig. 2 locking check — the kernel's default voting predicate:
+/// the parent (whose round the embedded QC carries) must be at least as
+/// recent as the lock. Exported so tests can exercise it directly; there is
+/// exactly one implementation.
 [[nodiscard]] bool diembft_safe_to_vote(const types::Block& block,
                                         const SafetyRules& safety,
                                         const chain::BlockTree& tree);
@@ -91,8 +80,12 @@ struct CoreConfig {
   std::uint32_t n = 4;
   CoreMode mode = CoreMode::SftMarker;
   CountingRule counting = CountingRule::Sft;
-  /// Protocol rule set (default: DiemBFT).
-  ChainedRules rules{};
+  /// The one predicate where chained protocols differ: the locking check
+  /// of the voting rule, evaluated after the universal SafetyRules
+  /// preconditions (r > r_vote, rounds increase). DiemBFT's Fig. 2 rule by
+  /// default; hotstuff::safe_to_vote selects chained HotStuff.
+  bool (*safe_to_vote)(const types::Block& block, const SafetyRules& safety,
+                       const chain::BlockTree& tree) = &diembft_safe_to_vote;
 
   /// Round timer (Fig. 2 "predefined duration").
   SimDuration base_timeout = millis(3000);

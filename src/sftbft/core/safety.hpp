@@ -5,8 +5,8 @@
 // universal bookkeeping — record votes, lock on the 2-chain, rank QCs — is
 // protocol-independent across the chained family; the protocol-specific
 // part of the voting rule (DiemBFT's parent.round >= r_lock vs HotStuff's
-// extends-locked-or-higher-QC) is supplied by core::ChainedRules and
-// evaluated by the ChainedCore, not here.
+// extends-locked-or-higher-QC) is CoreConfig::safe_to_vote, evaluated by
+// the ChainedCore, not here.
 #pragma once
 
 #include "sftbft/common/types.hpp"
@@ -22,7 +22,7 @@ class SafetyRules {
   /// The universal voting preconditions every chained protocol shares:
   /// strictly increasing vote rounds (r > r_vote) and structurally
   /// increasing rounds along the chain. Protocol rules add their locking
-  /// check on top (see ChainedRules::safe_to_vote).
+  /// check on top (see CoreConfig::safe_to_vote).
   [[nodiscard]] bool can_vote(const types::Block& block) const {
     return block.round > voted_round_ &&   // (1) r > r_vote
            block.round > block.qc.round;   // structural: rounds increase
@@ -62,7 +62,7 @@ class SafetyRules {
   /// chain QC the replica locked against. The locked block id is not
   /// persisted; it stays empty until the next QC raises the lock (rules
   /// that use it must fall back to the round comparison — see
-  /// hotstuff::rules()).
+  /// hotstuff::safe_to_vote).
   void restore_locked_round(Round round) {
     if (round > locked_round_) locked_round_ = round;
   }

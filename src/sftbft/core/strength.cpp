@@ -196,8 +196,13 @@ void StrengthTracker::reevaluate(const BlockId& id,
 
 void StrengthTracker::evaluate_head(const Block& head,
                                     std::vector<StrengthUpdate>& updates) {
-  const std::uint32_t count_head = endorser_count(head.id);
-  if (count_head < 2 * f_ + 1) return;  // cannot reach even x = f
+  const auto it = records_.find(head.id);
+  if (it == records_.end()) return;
+  Record& rec = it->second;
+  // Below 2f+1 endorsers the head cannot reach even x = f; at x = 2f its
+  // level cannot rise.
+  if (rec.count < 2 * f_ + 1 || rec.head_strength >= 2 * f_) return;
+  const std::uint32_t count_head = rec.count;
 
   // Enumerate chains head -> c1 -> c2 with consecutive rounds; equivocation
   // can create several, so take the best.
@@ -215,10 +220,8 @@ void StrengthTracker::evaluate_head(const Block& head,
   const std::uint32_t x = std::min(best_min - f_ - 1, 2 * f_);
   if (x < f_) return;  // strong commit rules start at the regular level
 
-  // count_head > 0, so the head has a record.
-  std::uint32_t& recorded = records_.find(head.id)->second.head_strength;
-  if (x > recorded) {
-    recorded = x;
+  if (x > rec.head_strength) {
+    rec.head_strength = x;
     updates.push_back({head.id, head.round, x});
   }
 }

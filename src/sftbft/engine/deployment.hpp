@@ -9,11 +9,11 @@
 // computes the paper's "average over all blocks over all replicas"
 // metrics). The protocol is selected by DeploymentConfig::protocol —
 // DiemBFT and chained HotStuff run the shared core::ChainedCore kernel
-// under their own rule sets and wire tags; Streamlet runs the lock-step
-// stack. Everything else — topology, network conditions, workload, the
-// FaultSpec fault list, the seed — is shared verbatim across protocols, so
-// the same scenario runs apples-to-apples on all of them (the paper's
-// genericity claim).
+// and wire tags, each with its own voting predicate; Streamlet runs the
+// lock-step stack. Everything else — topology, network conditions,
+// workload, the FaultSpec fault list, the seed — is shared verbatim across
+// protocols, so the same scenario runs apples-to-apples on all of them (the
+// paper's genericity claim).
 #pragma once
 
 #include <memory>
@@ -43,7 +43,7 @@ struct DeploymentConfig {
   Protocol protocol = Protocol::DiemBft;
   std::uint32_t n = 4;
   /// Template for every chained-kernel replica's core config (id/n filled
-  /// in per replica; the protocol's rule set is stamped by the host).
+  /// in per replica; the host stamps the protocol's safe_to_vote).
   /// Used when is_chained(protocol) — i.e. DiemBFT and HotStuff share one
   /// knob surface, which is what keeps their comparisons honest.
   core::CoreConfig chained;

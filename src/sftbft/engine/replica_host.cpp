@@ -6,7 +6,6 @@
 #include "sftbft/adversary/coalition.hpp"
 #include "sftbft/adversary/crafting.hpp"
 #include "sftbft/adversary/funnel.hpp"
-#include "sftbft/consensus/diembft.hpp"
 #include "sftbft/consensus/leader_election.hpp"
 #include "sftbft/engine/deployment.hpp"
 #include "sftbft/hotstuff/hotstuff.hpp"
@@ -21,20 +20,6 @@ using streamlet::SVote;
 using streamlet::StreamletCore;
 using types::Proposal;
 using types::Vote;
-
-namespace {
-
-core::ChainedRules chained_rules_for(Protocol protocol) {
-  return protocol == Protocol::HotStuff ? hotstuff::rules()
-                                        : consensus::diembft_rules();
-}
-
-net::ChainedWireSet chained_wires_for(Protocol protocol) {
-  return protocol == Protocol::HotStuff ? net::kHotStuffWires
-                                        : net::kDiemBftWires;
-}
-
-}  // namespace
 
 struct ReplicaHost::Byzantine {
   std::shared_ptr<adversary::Coalition> coalition;
@@ -60,7 +45,6 @@ ReplicaHost::ReplicaHost(const DeploymentConfig& config, ReplicaId id,
       dissem_(config.dissem),
       store_(store),
       on_commit_(std::move(on_commit)),
-      wires_(chained_wires_for(config.protocol)),
       silent_(fault_.kind == FaultSpec::Kind::Silent),
       workload_(transport.scheduler(), pool_, config.workload, workload_rng) {
   workload_.set_id_space(id_);
@@ -113,7 +97,9 @@ ReplicaHost::ReplicaHost(const DeploymentConfig& config, ReplicaId id,
     cfg.id = id_;
     cfg.n = config.n;
     cfg.observer = obs;
-    cfg.rules = chained_rules_for(protocol_);
+    cfg.safe_to_vote = protocol_ == Protocol::HotStuff
+                           ? &hotstuff::safe_to_vote
+                           : &core::diembft_safe_to_vote;
     core_ = std::make_unique<core::ChainedCore>(
         cfg, sched, std::move(registry), *payloads_, chained_hooks(taps),
         store_);
@@ -141,36 +127,36 @@ core::ChainedCore::Hooks ReplicaHost::chained_hooks(
       if (adversary::deny_history(forged, byz_->signer)) {
         ++byz_->coalition->stats().forged_votes;
       }
-      send(to, wires_.vote, forged);
+      send(to, WireType::kVote, forged);
       return;
     }
-    send(to, wires_.vote, vote);
+    send(to, WireType::kVote, vote);
   };
   hooks.broadcast_proposal = [this](const Proposal& proposal) {
     if (attacks(Strategy::EquivocatingLeader)) {
-      equivocate(wires_.proposal, proposal);
+      equivocate(WireType::kProposal, proposal);
       return;
     }
-    broadcast(wires_.proposal, proposal, /*include_self=*/true,
+    broadcast(WireType::kProposal, proposal, /*include_self=*/true,
               /*withholdable=*/true);
   };
   // Timeout messages carry qc_high, so WithholdRelease delays them too —
   // otherwise the "private" certificate leaks on the next timeout.
   hooks.broadcast_timeout = [this](const types::TimeoutMsg& msg) {
-    broadcast(wires_.timeout, msg, /*include_self=*/true,
+    broadcast(WireType::kTimeout, msg, /*include_self=*/true,
               /*withholdable=*/true);
   };
   hooks.broadcast_extra_vote = [this](const Vote& vote) {
-    broadcast(wires_.vote, vote, /*include_self=*/false,
+    broadcast(WireType::kVote, vote, /*include_self=*/false,
               /*withholdable=*/false, "extra_vote");
   };
   hooks.send_sync_request = [this](ReplicaId to,
                                    const types::SyncRequest& req) {
-    send(to, wires_.sync_request, req);
+    send(to, WireType::kSyncRequest, req);
   };
   hooks.send_sync_response = [this](ReplicaId to,
                                     const types::SyncResponse& resp) {
-    send(to, wires_.sync_response, resp);
+    send(to, WireType::kSyncResponse, resp);
   };
   if (taps.canonical_qc) {
     hooks.on_canonical_qc = [this, tap = taps.canonical_qc](
@@ -219,7 +205,7 @@ StreamletCore::Hooks ReplicaHost::streamlet_hooks(
   };
   hooks.send_sync_request = [this](ReplicaId to,
                                    const streamlet::SSyncRequest& req) {
-    send(to, WireType::kSSyncRequest, req);
+    send(to, WireType::kSyncRequest, req);
   };
   hooks.send_sync_response = [this](ReplicaId to,
                                     const streamlet::SSyncResponse& resp) {
@@ -332,31 +318,38 @@ void ReplicaHost::on_envelope(const Envelope& env) {
 }
 
 void ReplicaHost::deliver(core::ChainedCore& core, const Envelope& env) {
-  if (env.type == wires_.proposal) {
-    const Proposal proposal = env.unpack<Proposal>();
-    if (attacks(Strategy::AmnesiaVoter) &&
-        proposal.round() >= core.current_round() &&
-        byz_->forged_for.insert(proposal.block.id).second) {
-      // Vote for every same-round proposal, staged forks included, history
-      // and safety rules be damned (at most once per block).
-      ++byz_->coalition->stats().forged_votes;
-      send(consensus::LeaderElection(transport_.size())
-               .leader_of(proposal.round() + 1),
-           wires_.vote,
-           adversary::amnesia_vote(proposal.block, id_, core.config().mode,
-                                   byz_->signer));
+  switch (env.type) {
+    case WireType::kProposal: {
+      const Proposal proposal = env.unpack<Proposal>();
+      if (attacks(Strategy::AmnesiaVoter) &&
+          proposal.round() >= core.current_round() &&
+          byz_->forged_for.insert(proposal.block.id).second) {
+        // Vote for every same-round proposal, staged forks included,
+        // history and safety rules be damned (at most once per block).
+        ++byz_->coalition->stats().forged_votes;
+        send(consensus::LeaderElection(transport_.size())
+                 .leader_of(proposal.round() + 1),
+             WireType::kVote,
+             adversary::amnesia_vote(proposal.block, id_, core.config().mode,
+                                     byz_->signer));
+      }
+      core.on_proposal(proposal);
+      break;
     }
-    core.on_proposal(proposal);
-  } else if (env.type == wires_.vote) {
-    core.on_vote(env.unpack<Vote>());
-  } else if (env.type == wires_.timeout) {
-    core.on_timeout_msg(env.unpack<types::TimeoutMsg>());
-  } else if (env.type == wires_.sync_request) {
-    core.on_sync_request(env.unpack<types::SyncRequest>());
-  } else if (env.type == wires_.sync_response) {
-    core.on_sync_response(env.unpack<types::SyncResponse>());
-  } else {
-    throw CodecError("ReplicaHost: wire type not in this protocol's stack");
+    case WireType::kVote:
+      core.on_vote(env.unpack<Vote>());
+      break;
+    case WireType::kTimeout:
+      core.on_timeout_msg(env.unpack<types::TimeoutMsg>());
+      break;
+    case WireType::kSyncRequest:
+      core.on_sync_request(env.unpack<types::SyncRequest>());
+      break;
+    case WireType::kSyncResponse:
+      core.on_sync_response(env.unpack<types::SyncResponse>());
+      break;
+    default:
+      throw CodecError("ReplicaHost: wire type not in this protocol's stack");
   }
 }
 
@@ -379,7 +372,7 @@ void ReplicaHost::deliver(StreamletCore& core, const Envelope& env) {
     case WireType::kSVote:
       core.on_vote(env.unpack<SVote>());
       break;
-    case WireType::kSSyncRequest:
+    case WireType::kSyncRequest:
       core.on_sync_request(env.unpack<streamlet::SSyncRequest>());
       break;
     case WireType::kSSyncResponse:

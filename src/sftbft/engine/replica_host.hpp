@@ -148,8 +148,6 @@ class ReplicaHost {
   dissem::DissemConfig dissem_;
   storage::ReplicaStore* store_;
   CommitObserver on_commit_;
-  /// The chained family's tag set (DiemBFT 0x0x, HotStuff 0x2x).
-  net::ChainedWireSet wires_;
   bool silent_;
   std::uint64_t inbound_messages_ = 0;
   std::uint64_t inbound_bytes_ = 0;

@@ -255,8 +255,8 @@ engine::DeploymentConfig Scenario::to_deployment_config() const {
   deployment.protocol = protocol;
   deployment.n = n;
   // The chained template serves both chained protocols (DiemBFT and
-  // HotStuff) — identical knobs, apples-to-apples sweeps; the Deployment
-  // stamps the protocol's rule set per engine.
+  // HotStuff) — identical knobs, apples-to-apples sweeps; the host stamps
+  // the protocol's voting predicate (CoreConfig::safe_to_vote).
   deployment.topology = build_topology();
   deployment.net.jitter = jitter;
   deployment.net.jitter_frac = jitter_frac;

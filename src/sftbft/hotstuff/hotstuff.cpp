@@ -2,16 +2,11 @@
 
 namespace sftbft::hotstuff {
 
-namespace {
-
-/// Chained HotStuff's safeNode predicate, phrased on the chain: accept a
-/// proposal iff its parent extends (or is) the locked block, or its
-/// embedded QC ranks strictly higher than the lock. After a crash-restore
-/// the locked *block id* is not durable (only the locked round is), so the
-/// safety branch cannot be evaluated; keep only the liveness branch
-/// (strictly outranking QC), which is a strict subset of what any live
-/// replica would accept — a recovered replica may only be more
-/// conservative, never less.
+// After a crash-restore the locked *block id* is not durable (only the
+// locked round is), so the safety branch cannot be evaluated; keep only
+// the liveness branch (strictly outranking QC), which is a strict subset of
+// what any live replica would accept — a recovered replica may only be
+// more conservative, never less.
 bool safe_to_vote(const types::Block& block, const core::SafetyRules& safety,
                   const chain::BlockTree& tree) {
   const types::BlockId& locked = safety.locked_block();
@@ -26,15 +21,6 @@ bool safe_to_vote(const types::Block& block, const core::SafetyRules& safety,
   if (tree.extends(block.parent_id, locked)) return true;
   // Liveness branch: the embedded QC outranks the lock.
   return block.qc.round > safety.locked_round();
-}
-
-}  // namespace
-
-core::ChainedRules rules() {
-  core::ChainedRules r;
-  r.name = "hotstuff";
-  r.safe_to_vote = &safe_to_vote;
-  return r;
 }
 
 }  // namespace sftbft::hotstuff

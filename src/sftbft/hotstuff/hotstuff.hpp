@@ -1,4 +1,4 @@
-// Chained HotStuff as a rule set over the chained-BFT SFT kernel
+// Chained HotStuff as one voting predicate over the chained-BFT SFT kernel
 // (sftbft::core::ChainedCore) — the paper's genericity claim made
 // executable: "the same technique applies to other chained BFT protocols
 // such as HotStuff" (Secs. 3.2-3.4; the quote in
@@ -33,24 +33,21 @@
 // carry the same round markers / interval sets, and the strong 3-chain rule
 // commits at strengths x in [f, 2f] exactly as on DiemBFT.
 //
-// On the wire HotStuff frames travel under their own Envelope tags (0x2x)
-// so mixed tooling can tell the stacks apart; payload codecs are shared.
+// The messages are the kernel's, so HotStuff frames travel under the same
+// Envelope tags as DiemBFT's. A HotStuff replica is a core::ChainedCore
+// whose CoreConfig::safe_to_vote is hotstuff::safe_to_vote.
 #pragma once
 
 #include "sftbft/core/chained_core.hpp"
 
 namespace sftbft::hotstuff {
 
-/// A HotStuff replica core is the chained kernel running hotstuff rules.
-using HotStuffCore = core::ChainedCore;
-
-/// The chained-HotStuff rule set (see file header).
-[[nodiscard]] core::ChainedRules rules();
-
-/// Stamps a kernel config with the HotStuff rule set.
-[[nodiscard]] inline core::CoreConfig configure(core::CoreConfig config) {
-  config.rules = rules();
-  return config;
-}
+/// Chained HotStuff's safeNode predicate, phrased on the chain: accept a
+/// proposal iff its parent extends (or is) the locked block, or its
+/// embedded QC ranks strictly higher than the lock. Plugs into
+/// core::CoreConfig::safe_to_vote.
+[[nodiscard]] bool safe_to_vote(const types::Block& block,
+                                const core::SafetyRules& safety,
+                                const chain::BlockTree& tree);
 
 }  // namespace sftbft::hotstuff

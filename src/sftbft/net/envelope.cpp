@@ -15,13 +15,7 @@ bool wire_type_known(std::uint8_t tag) {
     case WireType::kSyncResponse:
     case WireType::kSProposal:
     case WireType::kSVote:
-    case WireType::kSSyncRequest:
     case WireType::kSSyncResponse:
-    case WireType::kHProposal:
-    case WireType::kHVote:
-    case WireType::kHTimeout:
-    case WireType::kHSyncRequest:
-    case WireType::kHSyncResponse:
     case WireType::kBatchPush:
     case WireType::kBatchRequest:
     case WireType::kBatchResponse:
@@ -34,22 +28,16 @@ const char* wire_type_name(WireType type) {
   switch (type) {
     case WireType::kProposal:
     case WireType::kSProposal:
-    case WireType::kHProposal:
       return "proposal";
     case WireType::kVote:
     case WireType::kSVote:
-    case WireType::kHVote:
       return "vote";
     case WireType::kTimeout:
-    case WireType::kHTimeout:
       return "timeout";
     case WireType::kSyncRequest:
-    case WireType::kSSyncRequest:
-    case WireType::kHSyncRequest:
       return "sync_req";
     case WireType::kSyncResponse:
     case WireType::kSSyncResponse:
-    case WireType::kHSyncResponse:
       return "sync_resp";
     case WireType::kBatchPush:
       return "batch_push";

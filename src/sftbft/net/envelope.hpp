@@ -1,7 +1,7 @@
 // The one wire frame every protocol message travels in.
 //
-// Both stacks (DiemBFT and Streamlet) serialize each message to canonical
-// bytes via the shared Encoder/Decoder and ship it inside an Envelope:
+// Every engine serializes each message to canonical bytes via the shared
+// Encoder/Decoder and ships it inside an Envelope:
 //
 //     u8  type      -- WireType tag (registry below)
 //     u32 sender    -- sending replica (unauthenticated; signatures inside
@@ -37,48 +37,29 @@
 
 namespace sftbft::net {
 
-/// The wire-protocol type registry. Tags are part of the on-wire format —
-/// never renumber, only append. 0x0x = DiemBFT stack, 0x1x = Streamlet,
-/// 0x2x = chained HotStuff (same payload codecs as the 0x0x tags — the
-/// chained stacks share the kernel's message types; the tag tells mixed
-/// tooling which protocol a frame belongs to), 0x4x = the dissemination
-/// data plane (sftbft::dissem), protocol-agnostic: every engine speaks the
-/// same batch tags because payload distribution is independent of the
-/// consensus rules ordering the digests.
+/// The wire-protocol type registry: one tag per payload codec. Tags are
+/// part of the on-wire format — never renumber, only append; a retired tag
+/// is never reused. 0x0x = the chained kernel's messages, spoken by both
+/// chained protocols (DiemBFT and HotStuff differ in one voting predicate,
+/// not in any message), 0x1x = Streamlet's own codecs, 0x4x = the
+/// dissemination data plane (sftbft::dissem), protocol-agnostic: every
+/// engine speaks the same batch tags because payload distribution is
+/// independent of the consensus rules ordering the digests. Retired:
+/// 0x13 (Streamlet's sync request, now kSyncRequest) and 0x21-0x25 (a
+/// HotStuff copy of the 0x0x tags).
 enum class WireType : std::uint8_t {
   kProposal = 0x01,      ///< types::Proposal
   kVote = 0x02,          ///< types::Vote (regular and FBFT extra votes)
   kTimeout = 0x03,       ///< types::TimeoutMsg
-  kSyncRequest = 0x04,   ///< types::SyncRequest
+  kSyncRequest = 0x04,   ///< types::SyncRequest (all engines)
   kSyncResponse = 0x05,  ///< types::SyncResponse
   kSProposal = 0x11,     ///< streamlet::SProposal
   kSVote = 0x12,         ///< streamlet::SVote
-  kSSyncRequest = 0x13,  ///< streamlet::SSyncRequest (= types::SyncRequest)
   kSSyncResponse = 0x14, ///< streamlet::SSyncResponse
-  kHProposal = 0x21,     ///< types::Proposal (HotStuff stack)
-  kHVote = 0x22,         ///< types::Vote (HotStuff stack)
-  kHTimeout = 0x23,      ///< types::TimeoutMsg (HotStuff stack)
-  kHSyncRequest = 0x24,  ///< types::SyncRequest (HotStuff stack)
-  kHSyncResponse = 0x25, ///< types::SyncResponse (HotStuff stack)
   kBatchPush = 0x41,     ///< dissem::BatchPush (all engines)
   kBatchRequest = 0x42,  ///< dissem::BatchRequest (all engines)
   kBatchResponse = 0x43, ///< dissem::BatchResponse (all engines)
 };
-
-/// The tag set one chained-kernel replica speaks (DiemBFT or HotStuff
-/// protocol instance; see engine::ReplicaHost).
-struct ChainedWireSet {
-  WireType proposal = WireType::kProposal;
-  WireType vote = WireType::kVote;
-  WireType timeout = WireType::kTimeout;
-  WireType sync_request = WireType::kSyncRequest;
-  WireType sync_response = WireType::kSyncResponse;
-};
-
-inline constexpr ChainedWireSet kDiemBftWires{};
-inline constexpr ChainedWireSet kHotStuffWires{
-    WireType::kHProposal, WireType::kHVote, WireType::kHTimeout,
-    WireType::kHSyncRequest, WireType::kHSyncResponse};
 
 /// True iff `tag` names a registered wire type.
 [[nodiscard]] bool wire_type_known(std::uint8_t tag);

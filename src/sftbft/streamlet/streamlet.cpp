@@ -140,14 +140,7 @@ net::Envelope to_envelope(ReplicaId sender, const SMessage& msg) {
   if (const auto* proposal = std::get_if<SProposal>(&msg)) {
     return Envelope::pack(WireType::kSProposal, sender, *proposal);
   }
-  if (const auto* vote = std::get_if<SVote>(&msg)) {
-    return Envelope::pack(WireType::kSVote, sender, *vote);
-  }
-  if (const auto* req = std::get_if<SSyncRequest>(&msg)) {
-    return Envelope::pack(WireType::kSSyncRequest, sender, *req);
-  }
-  return Envelope::pack(WireType::kSSyncResponse, sender,
-                        std::get<SSyncResponse>(msg));
+  return Envelope::pack(WireType::kSVote, sender, std::get<SVote>(msg));
 }
 
 SSyncResponse SSyncResponse::decode(Decoder& dec) {

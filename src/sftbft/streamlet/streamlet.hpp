@@ -162,10 +162,10 @@ struct SCert {
 
 /// Crash-recovery block sync (storage layer; not part of Appendix D): the
 /// restarted replica asks peers for the certified chain above its durable
-/// tip. The request is the kernel's shared types::SyncRequest (travelling
-/// under the Streamlet wire tag); Streamlet has no chain-embedded QCs, so
-/// the *response* carries one aggregate certificate per block — verified
-/// whole, it re-certifies the block, so the responder needs no trust.
+/// tip. The request is the kernel's shared types::SyncRequest, under the
+/// shared kSyncRequest tag; Streamlet has no chain-embedded QCs, so the
+/// *response* carries one aggregate certificate per block — verified whole,
+/// it re-certifies the block, so the responder needs no trust.
 using SSyncRequest = types::SyncRequest;
 
 struct SSyncResponse {
@@ -180,10 +180,10 @@ struct SSyncResponse {
   friend bool operator==(const SSyncResponse&, const SSyncResponse&) = default;
 };
 
-using SMessage = std::variant<SProposal, SVote, SSyncRequest, SSyncResponse>;
+/// What the echo path forwards: a previously-unseen proposal or vote.
+using SMessage = std::variant<SProposal, SVote>;
 
-/// Wraps whichever alternative `msg` holds in its wire envelope (the echo
-/// path forwards previously-unseen messages of any type).
+/// Wraps whichever alternative `msg` holds in its wire envelope.
 [[nodiscard]] net::Envelope to_envelope(ReplicaId sender, const SMessage& msg);
 
 class StreamletCore {

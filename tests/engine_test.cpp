@@ -8,6 +8,7 @@
 
 #include "sftbft/engine/deployment.hpp"
 #include "sftbft/harness/scenario.hpp"
+#include "sftbft/hotstuff/hotstuff.hpp"
 
 namespace sftbft {
 namespace {
@@ -163,12 +164,8 @@ TEST(Engine, OutOfRangeSyncRequesterIsIgnoredOnAllProtocols) {
     const std::uint64_t committed = deployment.ledger(0).committed_blocks();
     const std::uint64_t responses =
         deployment.net_stats().for_type("sync_resp").count;
-    const net::WireType tag =
-        protocol == Protocol::Streamlet ? net::WireType::kSSyncRequest
-        : protocol == Protocol::HotStuff ? net::WireType::kHSyncRequest
-                                         : net::WireType::kSyncRequest;
     deployment.transport().send(
-        0, net::Envelope::pack(tag, 1,
+        0, net::Envelope::pack(net::WireType::kSyncRequest, 1,
                                types::SyncRequest{.requester = s.n,
                                                   .from_height = 0}));
     deployment.run_for(seconds(2));
@@ -242,10 +239,18 @@ TEST(Engine, ChainedAccessorsServeBothChainedProtocols) {
   for (const Protocol protocol : {Protocol::DiemBft, Protocol::HotStuff}) {
     harness::Scenario s = crash_scenario(protocol);
     s.faults.clear();
-    Deployment deployment(s.to_deployment_config());
+    // The protocol alone picks the voting predicate: a template holding
+    // the other protocol's rule is overwritten.
+    DeploymentConfig config = s.to_deployment_config();
+    config.chained.safe_to_vote = protocol == Protocol::HotStuff
+                                      ? &core::diembft_safe_to_vote
+                                      : &hotstuff::safe_to_vote;
+    Deployment deployment(std::move(config));
     EXPECT_NO_THROW(deployment.chained_core(0));
-    EXPECT_STREQ(deployment.chained_core(0).config().rules.name,
-                 engine::protocol_name(protocol));
+    EXPECT_EQ(deployment.chained_core(0).config().safe_to_vote,
+              protocol == Protocol::HotStuff ? &hotstuff::safe_to_vote
+                                             : &core::diembft_safe_to_vote)
+        << engine::protocol_name(protocol);
     EXPECT_THROW(deployment.streamlet_core(0), std::logic_error);
   }
   harness::Scenario s = crash_scenario(Protocol::Streamlet);

@@ -170,8 +170,6 @@ TEST(HotStuffRule, ExtendsLockedBranchBeatsRoundComparison) {
   ASSERT_EQ(rules.locked_round(), 1u);
   ASSERT_EQ(rules.locked_block(), a.id);
 
-  const core::ChainedRules hs = hotstuff::rules();
-
   // A proposal extending b (on the locked branch) whose embedded QC round
   // equals the lock: both rules accept.
   types::Block on_branch;
@@ -181,7 +179,7 @@ TEST(HotStuffRule, ExtendsLockedBranchBeatsRoundComparison) {
   on_branch.qc.block_id = b.id;
   on_branch.qc.round = b.round;
   on_branch.seal();
-  EXPECT_TRUE(hs.safe_to_vote(on_branch, rules, tree));
+  EXPECT_TRUE(hotstuff::safe_to_vote(on_branch, rules, tree));
   EXPECT_TRUE(diembft_safe_to_vote(on_branch, rules, tree));
 
   // A proposal extending the fork sibling with a stale (round-0) QC:
@@ -196,7 +194,7 @@ TEST(HotStuffRule, ExtendsLockedBranchBeatsRoundComparison) {
   off_branch.qc.block_id = sibling.id;
   off_branch.qc.round = 1;  // does not outrank the lock
   off_branch.seal();
-  EXPECT_FALSE(hs.safe_to_vote(off_branch, rules, tree));
+  EXPECT_FALSE(hotstuff::safe_to_vote(off_branch, rules, tree));
 
   types::Block stale_on_branch;
   stale_on_branch.parent_id = a.id;  // the locked block itself
@@ -205,7 +203,7 @@ TEST(HotStuffRule, ExtendsLockedBranchBeatsRoundComparison) {
   stale_on_branch.qc.block_id = a.id;
   stale_on_branch.qc.round = 0;  // below the lock round
   stale_on_branch.seal();
-  EXPECT_TRUE(hs.safe_to_vote(stale_on_branch, rules, tree));
+  EXPECT_TRUE(hotstuff::safe_to_vote(stale_on_branch, rules, tree));
   EXPECT_FALSE(diembft_safe_to_vote(stale_on_branch, rules, tree));
 
   // Off-branch but with a higher-ranked QC: HotStuff's liveness branch
@@ -218,7 +216,7 @@ TEST(HotStuffRule, ExtendsLockedBranchBeatsRoundComparison) {
   outranking.qc.block_id = sibling.id;
   outranking.qc.round = 3;  // outranks lock round 1
   outranking.seal();
-  EXPECT_TRUE(hs.safe_to_vote(outranking, rules, tree));
+  EXPECT_TRUE(hotstuff::safe_to_vote(outranking, rules, tree));
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 //  * parity — the size the transport charges for every message type equals
 //    the canonical `Envelope::encode().size()` exactly (there is no other
 //    notion of wire size left in the system);
-//  * round-trip fuzz — randomized instances of every protocol message on
-//    both stacks encode -> decode -> re-encode byte-identically;
+//  * round-trip fuzz — randomized instances of every registered message
+//    type encode -> decode -> re-encode byte-identically;
 //  * robustness — truncated / bit-flipped / garbage frames never exhibit
 //    UB: they either decode or throw CodecError (run under the ASan CI job
 //    like the rest of the suite).
@@ -237,7 +237,7 @@ streamlet::SSyncResponse random_ssync_response(Rng& rng) {
   return resp;
 }
 
-/// Every message type of both stacks, as envelopes, freshly randomized.
+/// One envelope per registered tag, freshly randomized.
 std::vector<Envelope> all_message_envelopes(Rng& rng) {
   const auto sender = static_cast<ReplicaId>(rng.uniform(0, 6));
   types::SyncResponse sync_resp;
@@ -257,9 +257,6 @@ std::vector<Envelope> all_message_envelopes(Rng& rng) {
       Envelope::pack(WireType::kSyncResponse, sender, sync_resp),
       Envelope::pack(WireType::kSProposal, sender, random_sproposal(rng)),
       Envelope::pack(WireType::kSVote, sender, random_svote(rng)),
-      Envelope::pack(WireType::kSSyncRequest, sender,
-                     streamlet::SSyncRequest{.requester = sender,
-                                             .from_height = rng.next() % 1000}),
       Envelope::pack(WireType::kSSyncResponse, sender,
                      random_ssync_response(rng)),
       Envelope::pack(WireType::kBatchPush, sender,
@@ -276,26 +273,19 @@ template <typename F>
 void visit_message_type(WireType type, F&& f) {
   switch (type) {
     case WireType::kProposal:
-    case WireType::kHProposal:
       return f(types::Proposal{});
     case WireType::kVote:
-    case WireType::kHVote:
       return f(types::Vote{});
     case WireType::kTimeout:
-    case WireType::kHTimeout:
       return f(types::TimeoutMsg{});
     case WireType::kSyncRequest:
-    case WireType::kHSyncRequest:
       return f(types::SyncRequest{});
     case WireType::kSyncResponse:
-    case WireType::kHSyncResponse:
       return f(types::SyncResponse{});
     case WireType::kSProposal:
       return f(streamlet::SProposal{});
     case WireType::kSVote:
       return f(streamlet::SVote{});
-    case WireType::kSSyncRequest:
-      return f(streamlet::SSyncRequest{});
     case WireType::kSSyncResponse:
       return f(streamlet::SSyncResponse{});
     case WireType::kBatchPush:
@@ -306,28 +296,6 @@ void visit_message_type(WireType type, F&& f) {
       return f(dissem::BatchResponse{});
   }
   FAIL() << "unregistered wire type";
-}
-
-/// The envelopes of all_message_envelopes plus the chained HotStuff tags
-/// (same payload codecs as the DiemBFT ones): every registered tag.
-std::vector<Envelope> every_tag_envelopes(Rng& rng) {
-  std::vector<Envelope> envs = all_message_envelopes(rng);
-  const std::pair<WireType, WireType> hotstuff[] = {
-      {WireType::kProposal, WireType::kHProposal},
-      {WireType::kVote, WireType::kHVote},
-      {WireType::kTimeout, WireType::kHTimeout},
-      {WireType::kSyncRequest, WireType::kHSyncRequest},
-      {WireType::kSyncResponse, WireType::kHSyncResponse}};
-  const std::size_t base = envs.size();
-  for (std::size_t i = 0; i < base; ++i) {
-    for (const auto& [diem, hs] : hotstuff) {
-      if (envs[i].type != diem) continue;
-      Envelope retagged = envs[i];
-      retagged.type = hs;
-      envs.push_back(std::move(retagged));
-    }
-  }
-  return envs;
 }
 
 // ---------------------------------------------------------------- parity
@@ -354,7 +322,7 @@ TEST(WireParity, ChargedBytesEqualCanonicalEncodingForEveryType) {
   std::set<WireType> tags;
   bool saw_runs = false;
   for (int round = 0; round < 5; ++round) {
-    for (Envelope& env : every_tag_envelopes(rng)) {
+    for (Envelope& env : all_message_envelopes(rng)) {
       const Bytes frame = env.encode();
       const std::size_t canonical = frame.size();
       EXPECT_EQ(env.encoded_size(), canonical);
@@ -501,7 +469,6 @@ TEST(WireRobustness, GarbagePayloadsNeverUbInTypedDecoders) {
     poke(types::SyncResponse{});
     poke(streamlet::SProposal{});
     poke(streamlet::SVote{});
-    poke(streamlet::SSyncRequest{});
     poke(streamlet::SSyncResponse{});
     poke(dissem::BatchPush{});
     poke(dissem::BatchRequest{});
@@ -537,6 +504,18 @@ TEST(WireRobustness, UnknownTagRejected) {
   Bytes frame = env.encode();
   frame[0] = 0x7F;  // not a registered tag; CRC also breaks — both reject
   EXPECT_THROW(Envelope::decode(BytesView(frame)), CodecError);
+}
+
+TEST(WireRobustness, RetiredTagsRejectedWithIntactCrc) {
+  // 0x13 (Streamlet's old sync-request tag) and 0x21-0x25 (the old HotStuff
+  // copy of the chained tags) are retired: a well-framed frame under one of
+  // them, CRC intact, is rejected for its tag alone.
+  for (const std::uint8_t tag : {0x13, 0x21, 0x22, 0x23, 0x24, 0x25}) {
+    EXPECT_FALSE(net::wire_type_known(tag)) << int{tag};
+    const Bytes frame =
+        Envelope{static_cast<WireType>(tag), 3, {1, 2, 3}}.encode();
+    EXPECT_THROW(Envelope::decode(BytesView(frame)), CodecError) << int{tag};
+  }
 }
 
 // ------------------------------------------------- aggregate certificates
