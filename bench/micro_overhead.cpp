@@ -9,6 +9,7 @@
 
 #include "sftbft/chain/block_tree.hpp"
 #include "sftbft/common/interval_set.hpp"
+#include "sftbft/core/chained_core.hpp"
 #include "sftbft/core/strength.hpp"
 #include "sftbft/core/vote_history.hpp"
 #include "sftbft/crypto/sha256.hpp"
@@ -552,6 +553,62 @@ void BM_BroadcastBatchPushN50(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BroadcastBatchPushN50)->Unit(benchmark::kMillisecond);
+
+/// One signed proposal whose QC carries 21 votes, broadcast to n = 31 with
+/// signatures on and checked by every receiver on the host's receive path
+/// (core::CheckedProposal::of): each receiver runs the validation checks in
+/// order against its own VerifyCache, while the decode, the block-id and
+/// Log-digest hashes, the proposer's MAC and the QC's memo key and refold
+/// happen once per broadcast. The caches start empty for every broadcast,
+/// as for a new proposal; emptying them is inside the timed loop.
+void BM_BroadcastProposalN31(benchmark::State& state) {
+  constexpr std::uint32_t kN = 31;
+  const SignedQcFixture fx(kN);
+  types::Block block;
+  block.parent_id = fx.qc.block_id;
+  block.round = fx.qc.round + 1;
+  block.height = 2;
+  block.proposer = static_cast<ReplicaId>(block.round % kN);
+  block.qc = fx.qc;
+  block.seal();
+  types::Proposal proposal;
+  proposal.block = block;
+  proposal.sig =
+      fx.registry.signer_for(block.proposer).sign(proposal.signing_bytes());
+  const net::Envelope env =
+      net::Envelope::pack(net::WireType::kProposal, block.proposer, proposal);
+  sim::Scheduler sched;
+  net::SimTransport transport(sched, net::Topology::uniform(kN, millis(10)),
+                              {}, 1);
+  std::vector<crypto::VerifyCache> caches(kN);
+  std::uint64_t accepted = 0;
+  for (ReplicaId id = 0; id < kN; ++id) {
+    transport.set_handler(id, [&, id](const net::Envelope& received,
+                                      std::size_t) {
+      const core::CheckedProposal& checked =
+          core::CheckedProposal::of(received);
+      crypto::VerifyCache* cache = &caches[id];
+      const bool ok = checked.id_valid() && checked.log_digest_valid() &&
+                      checked.signature_valid(fx.registry, cache) &&
+                      checked.qc_valid(fx.registry, fx.quorum, cache);
+      accepted += ok ? 1 : 0;
+    });
+  }
+  const std::uint64_t refolds_before = fx.registry.aggregate_refolds();
+  for (auto _ : state) {
+    for (crypto::VerifyCache& cache : caches) cache = crypto::VerifyCache();
+    transport.broadcast(env, /*include_self=*/true);
+    sched.run_until_idle();
+    benchmark::DoNotOptimize(accepted);
+  }
+  if (accepted != static_cast<std::uint64_t>(state.iterations()) * kN) {
+    state.SkipWithError("a receiver rejected the proposal");
+  }
+  state.counters["refolds_per_broadcast"] =
+      static_cast<double>(fx.registry.aggregate_refolds() - refolds_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_BroadcastProposalN31)->Unit(benchmark::kMicrosecond);
 
 /// The sender's whole encode cost per digest_dissem batch push: pack a
 /// 250 x 4.5 KB batch (~1.1 MB on the wire) and size it, with no frame

@@ -7,6 +7,7 @@
 // wallet verifies it knowing only the PKI — no chain state. We also show
 // that doctored proofs are rejected.
 #include <cstdio>
+#include <optional>
 
 #include "sftbft/lightclient/light_client.hpp"
 #include "sftbft/engine/deployment.hpp"
@@ -35,14 +36,15 @@ int main() {
 
   // Pick an old block that reached 2f-strong (f = 2 -> x = 4).
   const std::uint32_t want = 2 * core.config().f();
-  const chain::Ledger::Entry* target = nullptr;
+  // A copy: snapshot() returns a temporary, gone after the loop.
+  std::optional<chain::Ledger::Entry> target;
   for (const auto& entry : ledger.snapshot()) {
     if (entry.strength >= want) {
-      target = &entry;
+      target = entry;
       break;
     }
   }
-  if (target == nullptr) {
+  if (!target) {
     std::printf("no 2f-strong block yet — run longer\n");
     return 1;
   }

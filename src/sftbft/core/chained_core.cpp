@@ -18,6 +18,65 @@ using types::TimeoutMsg;
 using types::Vote;
 using types::VoteMode;
 
+// ------------------------------------------------------------ checked views
+
+const CheckedProposal& CheckedProposal::of(const net::Envelope& env) {
+  return env.derived<CheckedProposal>([](const net::Envelope& e) {
+    return CheckedProposal(e.unpack<Proposal>());
+  });
+}
+
+bool CheckedProposal::id_valid() const {
+  if (!id_valid_) id_valid_ = proposal_.block.id_is_valid();
+  return *id_valid_;
+}
+
+bool CheckedProposal::log_digest_valid() const {
+  if (!log_digest_valid_) {
+    log_digest_valid_ = proposal_.block.log_digest ==
+                        types::commit_log_digest(proposal_.commit_log);
+  }
+  return *log_digest_valid_;
+}
+
+bool CheckedProposal::signature_valid(const crypto::KeyRegistry& registry,
+                                      crypto::VerifyCache* cache) const {
+  if (!signing_bytes_) signing_bytes_ = proposal_.signing_bytes();
+  return registry.verify(proposal_.sig, *signing_bytes_, cache, sig_work_);
+}
+
+bool CheckedProposal::qc_valid(const crypto::KeyRegistry& registry,
+                               std::size_t quorum,
+                               crypto::VerifyCache* cache) const {
+  return proposal_.block.qc.verify(registry, quorum, cache, qc_work_);
+}
+
+bool CheckedProposal::tc_valid(const crypto::KeyRegistry& registry,
+                               std::size_t quorum,
+                               crypto::VerifyCache* cache) const {
+  return proposal_.tc->verify(registry, quorum, cache, tc_work_);
+}
+
+const CheckedTimeout& CheckedTimeout::of(const net::Envelope& env) {
+  return env.derived<CheckedTimeout>([](const net::Envelope& e) {
+    return CheckedTimeout(e.unpack<TimeoutMsg>());
+  });
+}
+
+bool CheckedTimeout::signature_valid(const crypto::KeyRegistry& registry,
+                                     crypto::VerifyCache* cache) const {
+  if (!signing_bytes_) signing_bytes_ = msg_->signing_bytes();
+  return registry.verify(msg_->sig, *signing_bytes_, cache, sig_work_);
+}
+
+bool CheckedTimeout::high_qc_valid(const crypto::KeyRegistry& registry,
+                                   std::size_t quorum,
+                                   crypto::VerifyCache* cache) const {
+  return msg_->high_qc.verify(registry, quorum, cache, high_qc_work_);
+}
+
+// ------------------------------------------------------------------- core
+
 ChainedCore::ChainedCore(CoreConfig config, sim::Scheduler& sched,
                          std::shared_ptr<const crypto::KeyRegistry> registry,
                          Payloads& payloads, Hooks hooks,
@@ -306,9 +365,14 @@ void ChainedCore::propose(Round round) {
 // ------------------------------------------------------------------- voting
 
 void ChainedCore::on_proposal(const Proposal& proposal) {
+  on_proposal(CheckedProposal(proposal));
+}
+
+void ChainedCore::on_proposal(const CheckedProposal& checked) {
   if (stopped_) return;
   const log::Scope log_scope(sched_.now(), config_.id);
-  if (!validate_proposal(proposal)) return;
+  if (!validate_proposal(checked)) return;
+  const Proposal& proposal = checked.msg();
   const Block& block = proposal.block;
 
   // Fig. 2: replicas act on proposals "during round r" — a proposal for a
@@ -655,15 +719,20 @@ void ChainedCore::on_local_timeout(Round round) {
 }
 
 void ChainedCore::on_timeout_msg(const TimeoutMsg& msg) {
+  on_timeout_msg(CheckedTimeout(msg));
+}
+
+void ChainedCore::on_timeout_msg(const CheckedTimeout& checked) {
   if (stopped_) return;
+  const TimeoutMsg& msg = checked.msg();
   if (config_.verify_signatures &&
       (msg.sender != msg.sig.signer ||
-       !registry_->verify(msg.sig, msg.signing_bytes(), &cache_))) {
+       !checked.signature_valid(*registry_, &cache_))) {
     return;
   }
   if (!msg.high_qc.is_genesis()) {
     if (config_.verify_signatures &&
-        !msg.high_qc.verify(*registry_, config_.quorum(), &cache_)) {
+        !checked.high_qc_valid(*registry_, config_.quorum(), &cache_)) {
       return;
     }
     // Timeout-borne QCs update locking/qc_high/round but not endorsements
@@ -672,19 +741,27 @@ void ChainedCore::on_timeout_msg(const TimeoutMsg& msg) {
     pacemaker_.advance_to(msg.high_qc.round + 1);
   }
 
-  add_timeout(msg);
+  add_timeout(checked.shared());
 }
 
-void ChainedCore::add_timeout(const TimeoutMsg& msg) {
-  if (msg.round + 1 < pacemaker_.current_round()) return;  // stale
+void ChainedCore::add_timeout(
+    const std::shared_ptr<const TimeoutMsg>& shared) {
+  const TimeoutMsg& msg = *shared;
+  const Round current = pacemaker_.current_round();
+  if (msg.round + 1 < current) return;  // stale
+  // Rounds below current - 1 were left without a TC; their timeouts are
+  // rejected as stale from now on, so they can never reach a quorum.
+  if (current > 1) {
+    timeouts_.erase(timeouts_.begin(), timeouts_.lower_bound(current - 1));
+  }
   auto& per_sender = timeouts_[msg.round];
-  per_sender.emplace(msg.sender, msg);
+  per_sender.emplace(msg.sender, shared);
   if (per_sender.size() == config_.quorum()) {
     TimeoutCert tc;
     tc.round = msg.round;
     // per_sender iterates in ascending sender order — the canonical
     // (bitmap-bit) order the aggregate fold requires.
-    for (const auto& [sender, timeout] : per_sender) tc.add_timeout(timeout);
+    for (const auto& [sender, timeout] : per_sender) tc.add_timeout(*timeout);
     last_tc_ = tc;
     if (store_) store_->record_high_tc(tc);
     timeouts_.erase(timeouts_.begin(), timeouts_.upper_bound(msg.round));
@@ -694,24 +771,21 @@ void ChainedCore::add_timeout(const TimeoutMsg& msg) {
 
 // --------------------------------------------------------------- validation
 
-bool ChainedCore::validate_proposal(const Proposal& proposal) const {
+bool ChainedCore::validate_proposal(const CheckedProposal& checked) const {
+  const Proposal& proposal = checked.msg();
   const Block& block = proposal.block;
   if (block.round == 0) return false;
   if (block.proposer != election_.leader_of(block.round)) return false;
-  if (!block.id_is_valid()) return false;
+  if (!checked.id_valid()) return false;
   // The sealed Log digest must match the Log actually shipped — this is
   // what makes a vote for the block also vouch for the Log (Sec. 5).
-  if (block.log_digest != types::commit_log_digest(proposal.commit_log)) {
-    return false;
-  }
+  if (!checked.log_digest_valid()) return false;
   if (config_.verify_signatures) {
     if (proposal.sig.signer != block.proposer) return false;
-    if (!registry_->verify(proposal.sig, proposal.signing_bytes(), &cache_)) {
-      return false;
-    }
-    if (!block.qc.verify(*registry_, config_.quorum(), &cache_)) return false;
+    if (!checked.signature_valid(*registry_, &cache_)) return false;
+    if (!checked.qc_valid(*registry_, config_.quorum(), &cache_)) return false;
     if (proposal.tc &&
-        !proposal.tc->verify(*registry_, config_.quorum(), &cache_)) {
+        !checked.tc_valid(*registry_, config_.quorum(), &cache_)) {
       return false;
     }
   }
@@ -736,9 +810,11 @@ bool ChainedCore::validate_commit_log(const Proposal& proposal) {
 void ChainedCore::process_pending_proposals(const BlockId& parent_id) {
   auto it = pending_proposals_.find(parent_id);
   if (it == pending_proposals_.end()) return;
-  const std::vector<Proposal> waiting = std::move(it->second);
+  std::vector<Proposal> waiting = std::move(it->second);
   pending_proposals_.erase(it);
-  for (const Proposal& proposal : waiting) on_proposal(proposal);
+  for (Proposal& proposal : waiting) {
+    on_proposal(CheckedProposal(std::move(proposal)));
+  }
 }
 
 // --------------------------------------------------------------- durability

@@ -54,6 +54,7 @@
 #include "sftbft/core/vote_history.hpp"
 #include "sftbft/crypto/signature.hpp"
 #include "sftbft/crypto/verify_cache.hpp"
+#include "sftbft/net/envelope.hpp"
 #include "sftbft/obs/lifecycle.hpp"
 #include "sftbft/sim/scheduler.hpp"
 #include "sftbft/storage/replica_store.hpp"
@@ -131,6 +132,85 @@ struct CoreConfig {
   [[nodiscard]] std::uint32_t quorum() const { return 2 * f() + 1; }
 };
 
+/// A Proposal with the receiver-independent parts of checking it, each
+/// computed on first use: the block-id and Log-digest verdicts, the
+/// proposer signature's digest and MAC, and the QC's and TC's memo keys and
+/// refold verdicts. of() builds one per net::Envelope, so the receivers of
+/// a broadcast share one decode and one of each check; each receiver still
+/// runs every check in order against its own state (leader, quorum,
+/// VerifyCache bookkeeping), so verdicts and cache counters are those of a
+/// private check. Immutable but for the memo, which only ever describes
+/// the proposal it holds.
+class CheckedProposal {
+ public:
+  explicit CheckedProposal(types::Proposal proposal)
+      : proposal_(std::move(proposal)) {}
+
+  /// The checked proposal of `env` (a kProposal envelope), decoded on first
+  /// use. Throws CodecError on a malformed payload.
+  static const CheckedProposal& of(const net::Envelope& env);
+
+  [[nodiscard]] const types::Proposal& msg() const { return proposal_; }
+
+  /// Block::id_is_valid().
+  [[nodiscard]] bool id_valid() const;
+  /// The sealed Log digest matches the Log shipped.
+  [[nodiscard]] bool log_digest_valid() const;
+  /// The proposer's signature over the signing bytes (see
+  /// KeyRegistry::verify); signer identity is the caller's check.
+  [[nodiscard]] bool signature_valid(const crypto::KeyRegistry& registry,
+                                     crypto::VerifyCache* cache) const;
+  [[nodiscard]] bool qc_valid(const crypto::KeyRegistry& registry,
+                              std::size_t quorum,
+                              crypto::VerifyCache* cache) const;
+  /// The TC's verify(); call only when the proposal carries one.
+  [[nodiscard]] bool tc_valid(const crypto::KeyRegistry& registry,
+                              std::size_t quorum,
+                              crypto::VerifyCache* cache) const;
+
+ private:
+  types::Proposal proposal_;
+  mutable std::optional<bool> id_valid_;
+  mutable std::optional<bool> log_digest_valid_;
+  mutable std::optional<Bytes> signing_bytes_;
+  mutable crypto::MacWork sig_work_;
+  mutable types::CertWork qc_work_;
+  mutable types::TimeoutCert::Work tc_work_;
+};
+
+/// A TimeoutMsg with the receiver-independent parts of checking it, each
+/// computed on first use: the sender signature's digest and MAC, and the
+/// high QC's memo key and refold verdict. Shared per net::Envelope like
+/// CheckedProposal; a receiver that keeps the message holds the one
+/// decoded copy (shared()) instead of its own.
+class CheckedTimeout {
+ public:
+  explicit CheckedTimeout(types::TimeoutMsg msg)
+      : msg_(std::make_shared<const types::TimeoutMsg>(std::move(msg))) {}
+
+  /// The checked timeout of `env` (a kTimeout envelope), decoded on first
+  /// use. Throws CodecError on a malformed payload.
+  static const CheckedTimeout& of(const net::Envelope& env);
+
+  [[nodiscard]] const types::TimeoutMsg& msg() const { return *msg_; }
+  [[nodiscard]] const std::shared_ptr<const types::TimeoutMsg>& shared()
+      const {
+    return msg_;
+  }
+
+  [[nodiscard]] bool signature_valid(const crypto::KeyRegistry& registry,
+                                     crypto::VerifyCache* cache) const;
+  [[nodiscard]] bool high_qc_valid(const crypto::KeyRegistry& registry,
+                                   std::size_t quorum,
+                                   crypto::VerifyCache* cache) const;
+
+ private:
+  std::shared_ptr<const types::TimeoutMsg> msg_;
+  mutable std::optional<Bytes> signing_bytes_;
+  mutable crypto::MacWork sig_work_;
+  mutable types::CertWork high_qc_work_;
+};
+
 class ChainedCore {
  public:
   struct Hooks {
@@ -194,9 +274,13 @@ class ChainedCore {
   [[nodiscard]] bool stopped() const { return stopped_; }
 
   // --- inbound ---
+  /// The message forms wrap the message in its checked view; the host
+  /// passes the view it shares among a broadcast's receivers.
   void on_proposal(const types::Proposal& proposal);
+  void on_proposal(const CheckedProposal& checked);
   void on_vote(const types::Vote& vote);
   void on_timeout_msg(const types::TimeoutMsg& msg);
+  void on_timeout_msg(const CheckedTimeout& checked);
   void on_sync_request(const types::SyncRequest& req);
   void on_sync_response(const types::SyncResponse& resp);
 
@@ -220,6 +304,10 @@ class ChainedCore {
   [[nodiscard]] const std::unordered_map<types::BlockId, types::Proposal>&
   logged_proposals() const {
     return logged_proposals_;
+  }
+  /// Rounds holding timeout messages that have not yet formed a TC.
+  [[nodiscard]] std::size_t pending_timeout_rounds() const {
+    return timeouts_.size();
   }
 
  private:
@@ -252,10 +340,10 @@ class ChainedCore {
 
   // --- timeouts (Fig. 2 timeout rule) ---
   void on_local_timeout(Round round);
-  void add_timeout(const types::TimeoutMsg& msg);
+  void add_timeout(const std::shared_ptr<const types::TimeoutMsg>& shared);
 
   // --- validation ---
-  [[nodiscard]] bool validate_proposal(const types::Proposal& proposal) const;
+  [[nodiscard]] bool validate_proposal(const CheckedProposal& checked) const;
   [[nodiscard]] bool validate_commit_log(const types::Proposal& proposal);
   void process_pending_proposals(const types::BlockId& parent_id);
 
@@ -317,8 +405,11 @@ class ChainedCore {
   /// below it are "late" (lost in SFT; multicast in the FBFT baseline).
   Round last_sealed_round_ = 0;
 
-  // Timeout aggregation (round -> sender -> msg).
-  std::map<Round, std::map<ReplicaId, types::TimeoutMsg>> timeouts_;
+  // Timeout aggregation (round -> sender -> msg). The messages are the
+  // broadcasts' shared decoded copies (CheckedTimeout::shared).
+  std::map<Round,
+           std::map<ReplicaId, std::shared_ptr<const types::TimeoutMsg>>>
+      timeouts_;
   std::optional<types::TimeoutCert> last_tc_;
 
   // Proposals whose parent has not arrived yet.

@@ -52,24 +52,27 @@ Signer KeyRegistry::signer_for(ReplicaId id) const {
 
 bool KeyRegistry::verify(const Signature& sig, BytesView message,
                          VerifyCache* cache) const {
-  if (sig.signer >= keys_.size()) return false;
-  const Sha256Digest expected = expected_mac(sig.signer, message, cache);
-  return ct_equal(expected.bytes, sig.mac);
+  MacWork work;
+  return verify(sig, message, cache, work);
 }
 
-Sha256Digest KeyRegistry::expected_mac(ReplicaId signer, BytesView message,
-                                       VerifyCache* cache) const {
-  if (signer >= keys_.size()) {
-    throw std::out_of_range("KeyRegistry::expected_mac: unknown replica");
+bool KeyRegistry::verify(const Signature& sig, BytesView message,
+                         VerifyCache* cache, MacWork& work) const {
+  if (sig.signer >= keys_.size()) return false;
+  work.bind(*this);
+  const Sha256Digest* expected = nullptr;
+  if (cache != nullptr) {
+    if (!work.message_digest) work.message_digest = Sha256::hash(message);
+    expected = cache->lookup_mac(sig.signer, *work.message_digest);
   }
-  if (cache == nullptr) return keys_[signer].mac(message);
-  const Sha256Digest msg_digest = Sha256::hash(message);
-  if (const Sha256Digest* hit = cache->lookup_mac(signer, msg_digest)) {
-    return *hit;
+  if (expected == nullptr) {
+    if (!work.mac) work.mac = keys_[sig.signer].mac(message);
+    if (cache != nullptr) {
+      cache->store_mac(sig.signer, *work.message_digest, *work.mac);
+    }
+    expected = &*work.mac;
   }
-  const Sha256Digest mac = keys_[signer].mac(message);
-  cache->store_mac(signer, msg_digest, mac);
-  return mac;
+  return ct_equal(expected->bytes, sig.mac);
 }
 
 bool KeyRegistry::verify_aggregate(
@@ -78,6 +81,7 @@ bool KeyRegistry::verify_aggregate(
   const std::vector<ReplicaId> ids = agg.signers.ids();
   if (ids.empty()) return false;
   if (ids.back() >= keys_.size()) return false;
+  ++aggregate_refolds_;
   std::array<std::uint8_t, 32> fold{};
   for (const ReplicaId id : ids) {
     const Bytes message = message_for(id);

@@ -13,8 +13,10 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sftbft/common/bytes.hpp"
@@ -39,6 +41,23 @@ struct Signature {
 };
 
 class KeyRegistry;
+
+/// The receiver-independent part of checking one signer's signature over
+/// one message: the message's SHA-256 (the VerifyCache key) and the correct
+/// MAC, each computed on first use. The receivers of one broadcast share one
+/// object per signature they check; each still does its own VerifyCache
+/// lookup and store with the shared key and MAC. A work object serves one
+/// (signer, message) pair and depends only on it and the registry.
+struct MacWork {
+  const KeyRegistry* registry = nullptr;
+  std::optional<Sha256Digest> message_digest;
+  std::optional<Sha256Digest> mac;
+
+  /// Starts over when a different registry uses the work.
+  void bind(const KeyRegistry& by) {
+    if (registry != &by) *this = MacWork{&by, std::nullopt, std::nullopt};
+  }
+};
 
 /// Signing capability of one replica. Only the replica's own actor holds its
 /// Signer, which is what makes honest votes unforgeable in the simulation.
@@ -81,10 +100,11 @@ class KeyRegistry {
   [[nodiscard]] bool verify(const Signature& sig, BytesView message,
                             VerifyCache* cache = nullptr) const;
 
-  /// The correct MAC for (signer, message) — what a Signature by `signer`
-  /// over `message` must carry. Cache-aware; `signer` must be in range.
-  [[nodiscard]] Sha256Digest expected_mac(ReplicaId signer, BytesView message,
-                                          VerifyCache* cache = nullptr) const;
+  /// The same check, drawing the message digest and the correct MAC from
+  /// `work` (filled on first use) — `work` must belong to (sig.signer,
+  /// message). The cache lookup and store still run against `cache`.
+  [[nodiscard]] bool verify(const Signature& sig, BytesView message,
+                            VerifyCache* cache, MacWork& work) const;
 
   /// True iff `agg.tag` is the fold of every bitmap member's MAC, each over
   /// `message_for(member)` — the member's own canonical signing bytes. An
@@ -94,8 +114,15 @@ class KeyRegistry {
       const AggregateSignature& agg,
       const std::function<Bytes(ReplicaId)>& message_for) const;
 
+  /// Aggregates refolded so far (verify_aggregate calls that reached the
+  /// refold): the host-cost count that shared certificate checks cut.
+  [[nodiscard]] std::uint64_t aggregate_refolds() const {
+    return aggregate_refolds_.load();
+  }
+
  private:
   std::vector<HmacKey> keys_;
+  mutable std::atomic<std::uint64_t> aggregate_refolds_{0};
 };
 
 }  // namespace sftbft::crypto

@@ -27,6 +27,14 @@
 // The certificate-level memo still covers a whole re-verified certificate,
 // and single votes keep the vote memo: Streamlet's echoed votes hit it.
 //
+// The work and the bookkeeping are split. What depends only on the bytes —
+// the digest of the signing bytes, the correct MAC, a certificate's memo key
+// and its refold verdict — is computed once per broadcast and shared by its
+// receivers (crypto::MacWork and types::CertWork, held by the checked views
+// of net::Envelope::derived). The lookups and stores here stay per receiver,
+// with the shared keys, so each replica's hits, misses and verdicts are what
+// a private check gives.
+//
 // One cache per replica (simulations sweep scenarios on a thread pool, so
 // caches are never shared across deployments). Effectiveness is surfaced as
 // obs counters (sig.vote_verify_hits/misses, sig.cert_verify_hits/misses)

@@ -320,7 +320,8 @@ void ReplicaHost::on_envelope(const Envelope& env) {
 void ReplicaHost::deliver(core::ChainedCore& core, const Envelope& env) {
   switch (env.type) {
     case WireType::kProposal: {
-      const Proposal proposal = env.unpack<Proposal>();
+      const core::CheckedProposal& checked = core::CheckedProposal::of(env);
+      const Proposal& proposal = checked.msg();
       if (attacks(Strategy::AmnesiaVoter) &&
           proposal.round() >= core.current_round() &&
           byz_->forged_for.insert(proposal.block.id).second) {
@@ -333,14 +334,14 @@ void ReplicaHost::deliver(core::ChainedCore& core, const Envelope& env) {
              adversary::amnesia_vote(proposal.block, id_, core.config().mode,
                                      byz_->signer));
       }
-      core.on_proposal(proposal);
+      core.on_proposal(checked);
       break;
     }
     case WireType::kVote:
       core.on_vote(env.unpack<Vote>());
       break;
     case WireType::kTimeout:
-      core.on_timeout_msg(env.unpack<types::TimeoutMsg>());
+      core.on_timeout_msg(core::CheckedTimeout::of(env));
       break;
     case WireType::kSyncRequest:
       core.on_sync_request(env.unpack<types::SyncRequest>());
@@ -356,7 +357,9 @@ void ReplicaHost::deliver(core::ChainedCore& core, const Envelope& env) {
 void ReplicaHost::deliver(StreamletCore& core, const Envelope& env) {
   switch (env.type) {
     case WireType::kSProposal: {
-      const SProposal proposal = env.unpack<SProposal>();
+      const streamlet::CheckedSProposal& checked =
+          streamlet::CheckedSProposal::of(env);
+      const SProposal& proposal = checked.msg();
       if (attacks(Strategy::AmnesiaVoter) &&
           proposal.block.round + 1 >= core.current_round() &&
           byz_->forged_for.insert(proposal.block.id).second) {
@@ -366,11 +369,11 @@ void ReplicaHost::deliver(StreamletCore& core, const Envelope& env) {
                   adversary::amnesia_vote(proposal.block, id_, byz_->signer),
                   /*include_self=*/true, /*withholdable=*/false);
       }
-      core.on_proposal(proposal);
+      core.on_proposal(checked);
       break;
     }
     case WireType::kSVote:
-      core.on_vote(env.unpack<SVote>());
+      core.on_vote(streamlet::CheckedSVote::of(env));
       break;
     case WireType::kSyncRequest:
       core.on_sync_request(env.unpack<streamlet::SSyncRequest>());

@@ -128,7 +128,11 @@ struct Envelope {
   /// Returns `derive(*this)`, computed at most once per Envelope object.
   /// The transport hands every clean recipient of a broadcast the same
   /// immutable Envelope, so a view derived from its payload (a decoded and
-  /// checked message) is shared instead of recomputed per receiver. A
+  /// checked message) is shared instead of recomputed per receiver: the
+  /// views are dissem::CheckedPush, core::CheckedProposal,
+  /// core::CheckedTimeout, streamlet::CheckedSProposal and
+  /// streamlet::CheckedSVote. A view may memoize only what follows from the
+  /// bytes (and the deployment-wide KeyRegistry), never a receiver's state. A
   /// derive that throws caches nothing. The memo holds one view type at a
   /// time and starts empty in every copy, move or assignment, so it only
   /// ever describes the bytes it was computed from; the payload must not

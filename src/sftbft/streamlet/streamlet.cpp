@@ -68,6 +68,35 @@ SVote SVote::decode(Decoder& dec) {
   return vote;
 }
 
+const CheckedSProposal& CheckedSProposal::of(const net::Envelope& env) {
+  return env.derived<CheckedSProposal>([](const net::Envelope& e) {
+    return CheckedSProposal(e.unpack<SProposal>());
+  });
+}
+
+bool CheckedSProposal::id_valid() const {
+  if (!id_valid_) id_valid_ = proposal_.block.id_is_valid();
+  return *id_valid_;
+}
+
+bool CheckedSProposal::signature_valid(const crypto::KeyRegistry& registry,
+                                       crypto::VerifyCache* cache) const {
+  if (!signing_bytes_) signing_bytes_ = proposal_.signing_bytes();
+  return registry.verify(proposal_.sig, *signing_bytes_, cache, sig_work_);
+}
+
+const CheckedSVote& CheckedSVote::of(const net::Envelope& env) {
+  return env.derived<CheckedSVote>([](const net::Envelope& e) {
+    return CheckedSVote(e.unpack<SVote>());
+  });
+}
+
+bool CheckedSVote::signature_valid(const crypto::KeyRegistry& registry,
+                                   crypto::VerifyCache* cache) const {
+  if (!signing_bytes_) signing_bytes_ = vote_.signing_bytes();
+  return registry.verify(vote_.sig, *signing_bytes_, cache, sig_work_);
+}
+
 bool SCert::add_vote(const SVote& vote) {
   if (!agg.fold(vote.sig)) return false;
   markers.push_back(vote.marker);
@@ -424,16 +453,21 @@ void StreamletCore::propose() {
 }
 
 void StreamletCore::on_proposal(const SProposal& proposal) {
+  on_proposal(CheckedSProposal(proposal));
+}
+
+void StreamletCore::on_proposal(const CheckedSProposal& checked) {
   if (stopped_) return;
+  const SProposal& proposal = checked.msg();
   const Block& block = proposal.block;
   if (block.round == 0 || block.round % config_.n != block.proposer) return;
   // A duplicate (the leader's copy plus every echo) is a no-op for insert,
   // so it returns before the id hash and the signature check.
   if (tree_.contains(block.id)) return;
-  if (!block.id_is_valid()) return;
+  if (!checked.id_valid()) return;
   if (config_.verify_signatures &&
       (proposal.sig.signer != block.proposer ||
-       !registry_->verify(proposal.sig, proposal.signing_bytes(), &cache_))) {
+       !checked.signature_valid(*registry_, &cache_))) {
     return;
   }
   const auto inserted = tree_.insert(block);
@@ -511,14 +545,15 @@ void StreamletCore::maybe_vote(const Block& block) {
 }
 
 void StreamletCore::on_vote(const SVote& vote) {
-  ingest_vote(vote, /*allow_echo=*/true);
+  on_vote(CheckedSVote(vote));
 }
 
-void StreamletCore::ingest_vote(const SVote& vote, bool allow_echo) {
+void StreamletCore::on_vote(const CheckedSVote& checked) {
   if (stopped_) return;
+  const SVote& vote = checked.msg();
   if (config_.verify_signatures &&
       (vote.voter != vote.sig.signer ||
-       !registry_->verify(vote.sig, vote.signing_bytes(), &cache_))) {
+       !checked.signature_valid(*registry_, &cache_))) {
     return;
   }
   auto& per_voter = votes_[vote.block_id];
@@ -532,7 +567,7 @@ void StreamletCore::ingest_vote(const SVote& vote, bool allow_echo) {
     }
   }
   if (hooks_.on_vote_seen) hooks_.on_vote_seen(vote);
-  if (allow_echo && config_.echo && hooks_.echo) hooks_.echo(SMessage{vote});
+  if (config_.echo && hooks_.echo) hooks_.echo(SMessage{vote});
   if (config_.sft) {
     endorsements_->ingest_height_vote(vote.block_id, vote.voter, vote.marker);
   }

@@ -124,6 +124,54 @@ struct SVote {
   friend bool operator==(const SVote&, const SVote&) = default;
 };
 
+/// An SProposal with the receiver-independent parts of checking it, each
+/// computed on first use: the block-id verdict and the proposer
+/// signature's digest and MAC. of() builds one per net::Envelope, so the
+/// receivers of a broadcast share one decode and one of each check; each
+/// receiver still runs the checks in order against its own state, and a
+/// duplicate returns before any of them.
+class CheckedSProposal {
+ public:
+  explicit CheckedSProposal(SProposal proposal)
+      : proposal_(std::move(proposal)) {}
+
+  /// The checked proposal of `env` (a kSProposal envelope), decoded on
+  /// first use. Throws CodecError on a malformed payload.
+  static const CheckedSProposal& of(const net::Envelope& env);
+
+  [[nodiscard]] const SProposal& msg() const { return proposal_; }
+  [[nodiscard]] bool id_valid() const;
+  /// The signature over the signing bytes; signer identity is the caller's.
+  [[nodiscard]] bool signature_valid(const crypto::KeyRegistry& registry,
+                                     crypto::VerifyCache* cache) const;
+
+ private:
+  SProposal proposal_;
+  mutable std::optional<bool> id_valid_;
+  mutable std::optional<Bytes> signing_bytes_;
+  mutable crypto::MacWork sig_work_;
+};
+
+/// An SVote with its signature's digest and MAC computed on first use,
+/// shared per net::Envelope like CheckedSProposal.
+class CheckedSVote {
+ public:
+  explicit CheckedSVote(SVote vote) : vote_(std::move(vote)) {}
+
+  /// The checked vote of `env` (a kSVote envelope), decoded on first use.
+  /// Throws CodecError on a malformed payload.
+  static const CheckedSVote& of(const net::Envelope& env);
+
+  [[nodiscard]] const SVote& msg() const { return vote_; }
+  [[nodiscard]] bool signature_valid(const crypto::KeyRegistry& registry,
+                                     crypto::VerifyCache* cache) const;
+
+ private:
+  SVote vote_;
+  mutable std::optional<Bytes> signing_bytes_;
+  mutable crypto::MacWork sig_work_;
+};
+
 /// A Streamlet certificate: one block's certifying vote quorum, collapsed
 /// to a voter bitmap + per-voter height markers (bit order, voters
 /// implicit) + a single aggregate signature. Streamlet has no chain-embedded
@@ -242,8 +290,12 @@ class StreamletCore {
   /// can be waiting; a deferral that missed its round lapses silently.
   void retry_awaiting_payloads();
 
+  /// The message forms wrap the message in its checked view; the host
+  /// passes the view it shares among a broadcast's receivers.
   void on_proposal(const SProposal& proposal);
+  void on_proposal(const CheckedSProposal& checked);
   void on_vote(const SVote& vote);
+  void on_vote(const CheckedSVote& checked);
   void on_sync_request(const SSyncRequest& req);
   void on_sync_response(const SSyncResponse& resp);
 
@@ -265,9 +317,6 @@ class StreamletCore {
   void schedule_tick(SimTime at);
   void propose();
   void maybe_vote(const types::Block& block);
-  /// on_vote minus the echo (sync responses replay old votes; re-echoing
-  /// them would flood the network with stale traffic).
-  void ingest_vote(const SVote& vote, bool allow_echo);
   void try_certify(const types::BlockId& id);
   /// Marks a block certified (obs, longest-tip update, commit checks) —
   /// shared by the vote-quorum path and the sync certificate path.

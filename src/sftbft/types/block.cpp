@@ -26,9 +26,11 @@ void Block::seal() { id = compute_id(); }
 
 bool Block::id_is_valid() const {
   // Verifier side: never trust the payload memo — an in-process tamper of
-  // the batch must be caught (decoded blocks arrive memo-less anyway, so
-  // the honest receive path pays this exactly once; repeat calls and the
-  // proposer-side seal reuse the now-fresh memo).
+  // the batch must be caught. The honest receive path pays this once per
+  // broadcast: the receivers of one envelope share its checked view
+  // (core::CheckedProposal, streamlet::CheckedSProposal), which keeps the
+  // verdict; later memo reads and the proposer-side seal reuse the
+  // now-fresh memo.
   payload.refresh_records_digest();
   return id == compute_id();
 }

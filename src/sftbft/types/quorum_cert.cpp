@@ -23,6 +23,13 @@ void QuorumCert::canonicalize() {
 bool QuorumCert::verify(const crypto::KeyRegistry& registry,
                         std::size_t quorum,
                         crypto::VerifyCache* cache) const {
+  CertWork work;
+  return verify(registry, quorum, cache, work);
+}
+
+bool QuorumCert::verify(const crypto::KeyRegistry& registry,
+                        std::size_t quorum, crypto::VerifyCache* cache,
+                        CertWork& work) const {
   if (is_genesis()) return votes.empty() && agg.empty();
   if (votes.size() < quorum) return false;
   // Metas must align 1:1 with the signer bitmap, ascending — this is free
@@ -33,26 +40,31 @@ bool QuorumCert::verify(const crypto::KeyRegistry& registry,
   for (std::size_t i = 0; i < votes.size(); ++i) {
     if (votes[i].voter != signers[i]) return false;
   }
-  crypto::Sha256Digest memo_key;
+  work.bind(registry);
   if (cache != nullptr) {
-    // Key the cert memo by the FULL canonical encoding (not digest(), which
-    // deliberately omits interval sets): any tampered field must miss.
-    Encoder enc;
-    enc.str("sftbft/qc-verified");
-    encode(enc);
-    memo_key = crypto::Sha256::hash(enc.data());
-    if (cache->seen_cert(memo_key)) return true;
+    if (!work.memo_key) {
+      // Key the cert memo by the FULL canonical encoding (not digest(),
+      // which deliberately omits interval sets): any tampered field must
+      // miss.
+      Encoder enc;
+      enc.str("sftbft/qc-verified");
+      encode(enc);
+      work.memo_key = crypto::Sha256::hash(enc.data());
+    }
+    if (cache->seen_cert(*work.memo_key)) return true;
   }
-  const bool ok = registry.verify_aggregate(
-      agg,
-      [this](ReplicaId voter) {
-        const auto it = std::lower_bound(
-            votes.begin(), votes.end(), voter,
-            [](const QcVote& v, ReplicaId id) { return v.voter < id; });
-        return Vote::signing_bytes_for(block_id, round, voter, it->meta);
-      });
-  if (ok && cache != nullptr) cache->note_cert(memo_key);
-  return ok;
+  if (!work.aggregate_ok) {
+    work.aggregate_ok = registry.verify_aggregate(
+        agg,
+        [this](ReplicaId voter) {
+          const auto it = std::lower_bound(
+              votes.begin(), votes.end(), voter,
+              [](const QcVote& v, ReplicaId id) { return v.voter < id; });
+          return Vote::signing_bytes_for(block_id, round, voter, it->meta);
+        });
+  }
+  if (*work.aggregate_ok && cache != nullptr) cache->note_cert(*work.memo_key);
+  return *work.aggregate_ok;
 }
 
 crypto::Sha256Digest QuorumCert::digest() const {

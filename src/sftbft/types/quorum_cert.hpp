@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sftbft/common/codec.hpp"
@@ -37,6 +38,22 @@ struct QcVote {
   VoteMeta meta;
 
   friend bool operator==(const QcVote&, const QcVote&) = default;
+};
+
+/// The receiver-independent part of verifying one certificate value: the
+/// digest of its full canonical encoding (the VerifyCache cert key) and the
+/// aggregate's refold verdict, each computed on first use. The receivers
+/// of one broadcast share one object per certificate; each still checks
+/// its own quorum and does its own seen_cert / note_cert.
+struct CertWork {
+  const crypto::KeyRegistry* registry = nullptr;
+  std::optional<crypto::Sha256Digest> memo_key;
+  std::optional<bool> aggregate_ok;
+
+  /// Starts over when a different registry uses the work.
+  void bind(const crypto::KeyRegistry& by) {
+    if (registry != &by) *this = CertWork{&by, std::nullopt, std::nullopt};
+  }
 };
 
 struct QuorumCert {
@@ -74,6 +91,12 @@ struct QuorumCert {
   [[nodiscard]] bool verify(const crypto::KeyRegistry& registry,
                             std::size_t quorum,
                             crypto::VerifyCache* cache = nullptr) const;
+
+  /// The same check, with the memo key and the aggregate verdict drawn
+  /// from `work` (which must belong to this certificate's value).
+  [[nodiscard]] bool verify(const crypto::KeyRegistry& registry,
+                            std::size_t quorum, crypto::VerifyCache* cache,
+                            CertWork& work) const;
 
   /// Digest binding the QC content (used inside block ids and as the
   /// identity key of per-QC bookkeeping). Memoized per object: a canonical

@@ -50,6 +50,13 @@ bool TimeoutCert::add_timeout(const TimeoutMsg& msg) {
 bool TimeoutCert::verify(const crypto::KeyRegistry& registry,
                          std::size_t quorum,
                          crypto::VerifyCache* cache) const {
+  Work work;
+  return verify(registry, quorum, cache, work);
+}
+
+bool TimeoutCert::verify(const crypto::KeyRegistry& registry,
+                         std::size_t quorum, crypto::VerifyCache* cache,
+                         Work& work) const {
   if (hqc_rounds.size() < quorum) return false;
   const std::vector<ReplicaId> senders = agg.signers.ids();
   if (senders.size() != hqc_rounds.size()) return false;
@@ -58,26 +65,29 @@ bool TimeoutCert::verify(const crypto::KeyRegistry& registry,
   const Round max_round =
       *std::max_element(hqc_rounds.begin(), hqc_rounds.end());
   if (high_qc.round != max_round) return false;
-  crypto::Sha256Digest memo_key;
+  CertWork& own = work.cert;
+  own.bind(registry);
   if (cache != nullptr) {
-    Encoder enc;
-    enc.str("sftbft/tc-verified");
-    encode(enc);
-    memo_key = crypto::Sha256::hash(enc.data());
-    if (cache->seen_cert(memo_key)) return true;
+    if (!own.memo_key) {
+      Encoder enc;
+      enc.str("sftbft/tc-verified");
+      encode(enc);
+      own.memo_key = crypto::Sha256::hash(enc.data());
+    }
+    if (cache->seen_cert(*own.memo_key)) return true;
   }
-  const bool ok =
-      registry.verify_aggregate(
-          agg,
-          [this, &senders](ReplicaId sender) {
-            const std::size_t i = static_cast<std::size_t>(
-                std::lower_bound(senders.begin(), senders.end(), sender) -
-                senders.begin());
-            return TimeoutMsg::signing_bytes_for(round, sender,
-                                                 hqc_rounds[i]);
-          }) &&
-      high_qc.verify(registry, quorum, cache);
-  if (ok && cache != nullptr) cache->note_cert(memo_key);
+  if (!own.aggregate_ok) {
+    own.aggregate_ok = registry.verify_aggregate(
+        agg, [this, &senders](ReplicaId sender) {
+          const std::size_t i = static_cast<std::size_t>(
+              std::lower_bound(senders.begin(), senders.end(), sender) -
+              senders.begin());
+          return TimeoutMsg::signing_bytes_for(round, sender, hqc_rounds[i]);
+        });
+  }
+  const bool ok = *own.aggregate_ok &&
+                  high_qc.verify(registry, quorum, cache, work.high_qc);
+  if (ok && cache != nullptr) cache->note_cert(*own.memo_key);
   return ok;
 }
 

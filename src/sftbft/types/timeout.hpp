@@ -80,6 +80,19 @@ struct TimeoutCert {
                             std::size_t quorum,
                             crypto::VerifyCache* cache = nullptr) const;
 
+  /// The receiver-independent work of verify(): the certificate's own and
+  /// that of its representative high QC.
+  struct Work {
+    CertWork cert;
+    CertWork high_qc;
+  };
+
+  /// The same check, drawing the shared parts from `work` (which must
+  /// belong to this certificate's value).
+  [[nodiscard]] bool verify(const crypto::KeyRegistry& registry,
+                            std::size_t quorum, crypto::VerifyCache* cache,
+                            Work& work) const;
+
   void encode(Encoder& enc) const;
   static TimeoutCert decode(Decoder& dec);
 

@@ -287,6 +287,27 @@ TEST_F(DiemBftCoreTest, TimeoutCertAdvancesRound) {
   EXPECT_EQ(core_->current_round(), 2u);  // 3 = 2f+1 timeouts formed a TC
 }
 
+TEST_F(DiemBftCoreTest, TimeoutRoundsLeftWithoutTcAreDropped) {
+  // One peer times out in every round while QCs keep advancing the rounds,
+  // so no round ever gathers a TC: the rounds left behind must not pile up.
+  Block parent = core_->tree().genesis();
+  QuorumCert qc = genesis_qc();
+  for (Round round = 1; round <= 30; ++round) {
+    const auto proposal = make_proposal(parent, round, qc);
+    core_->on_proposal(proposal);
+    ASSERT_EQ(core_->current_round(), round);
+    types::TimeoutMsg msg;
+    msg.round = round;
+    msg.sender = 3;
+    msg.high_qc = qc;
+    msg.sig = registry_->signer_for(3).sign(msg.signing_bytes());
+    core_->on_timeout_msg(msg);
+    EXPECT_LE(core_->pending_timeout_rounds(), 2u) << "round " << round;
+    parent = proposal.block;
+    qc = make_qc(proposal.block);
+  }
+}
+
 TEST_F(DiemBftCoreTest, StopSilencesEverything) {
   core_->stop();
   const auto p1 = make_proposal(core_->tree().genesis(), 1, genesis_qc());
