@@ -610,6 +610,38 @@ void BM_BroadcastProposalN31(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastProposalN31)->Unit(benchmark::kMicrosecond);
 
+/// One signed marker-mode vote broadcast to n = 100 with no-op handlers:
+/// the transport's per-frame routing cost (traffic ledger, egress charge,
+/// delay draw, schedule and dispatch) on a small frame, where no payload
+/// work hides it. `ns_per_frame` divides by the 99 routed frames.
+void BM_BroadcastVoteN100(benchmark::State& state) {
+  constexpr std::uint32_t kN = 100;
+  crypto::KeyRegistry registry(kN, 1);
+  types::Vote vote;
+  vote.round = 7;
+  vote.voter = 3;
+  vote.mode = types::VoteMode::Marker;
+  vote.marker = 2;
+  vote.sig = registry.signer_for(vote.voter).sign(vote.signing_bytes());
+  const net::Envelope env =
+      net::Envelope::pack(net::WireType::kVote, vote.voter, vote);
+  sim::Scheduler sched;
+  net::SimTransport transport(sched, net::Topology::uniform(kN, millis(10)),
+                              {}, 1);
+  for (ReplicaId id = 0; id < kN; ++id) {
+    transport.set_handler(id, [](const net::Envelope&, std::size_t) {});
+  }
+  for (auto _ : state) {
+    transport.broadcast(env, /*include_self=*/false);
+    sched.run_until_idle();
+  }
+  state.counters["frame_bytes"] = static_cast<double>(env.encoded_size());
+  state.counters["ns_per_frame"] = benchmark::Counter(
+      (kN - 1) * 1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                           benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BroadcastVoteN100)->Unit(benchmark::kMicrosecond);
+
 /// The sender's whole encode cost per digest_dissem batch push: pack a
 /// 250 x 4.5 KB batch (~1.1 MB on the wire) and size it, with no frame
 /// built. The bodies stay runs, so this writes ~6 KB of records.

@@ -47,12 +47,14 @@ int main() {
               static_cast<unsigned long long>(ledger.committed_blocks()));
 
   const auto& stats = cluster.net_stats();
+  const auto count = [&stats](net::WireLabel label) {
+    return static_cast<unsigned long long>(stats.for_type(label).count);
+  };
   std::printf("messages: %llu total — proposals %llu, votes %llu, echoes "
               "%llu (the echo is Streamlet's O(n^3) simplicity tax)\n",
               static_cast<unsigned long long>(stats.total_count()),
-              static_cast<unsigned long long>(stats.for_type("proposal").count),
-              static_cast<unsigned long long>(stats.for_type("vote").count),
-              static_cast<unsigned long long>(stats.for_type("echo").count));
+              count(net::WireLabel::kProposal), count(net::WireLabel::kVote),
+              count(net::WireLabel::kEcho));
 
   std::printf(
       "\nLong-range note (D.4): honest Streamlet replicas vote only for the\n"

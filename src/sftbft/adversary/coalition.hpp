@@ -45,9 +45,6 @@ class Coalition {
   /// coherent when several members lead in interleaved rounds).
   void record_fork(Round round, const types::BlockId& main,
                    const types::BlockId& twin);
-  [[nodiscard]] bool forked(Round round) const {
-    return forks_.contains(round);
-  }
   [[nodiscard]] const std::map<Round,
                                std::pair<types::BlockId, types::BlockId>>&
   forks() const {

@@ -8,6 +8,7 @@
 // class over net::Envelope, not a per-message-type template.
 #pragma once
 
+#include <optional>
 #include <utility>
 
 #include "sftbft/adversary/coalition.hpp"
@@ -36,15 +37,15 @@ class OutboundFunnel {
   /// Undelayed, unfiltered self-delivery: the replica's own core keeps
   /// seeing its own messages immediately even while withholding from peers
   /// (a withholding leader still certifies privately against its own view).
-  void send_self(net::Envelope env, const char* label = nullptr) {
-    transport_.send(id_, std::move(env), label);
+  void send_self(net::Envelope env) {
+    transport_.send(id_, std::move(env));
   }
 
   /// Unicast with SelectiveSender filtering; `withholdable` messages (the
   /// carriers of fresh certificates: proposals, and timeouts leaking
   /// qc_high) are additionally delayed by WithholdRelease.
   void send(ReplicaId to, net::Envelope env, bool withholdable,
-            const char* label = nullptr) {
+            std::optional<net::WireLabel> label = std::nullopt) {
     if (suppressed(to)) {
       ++coalition_.stats().suppressed;
       return;
@@ -66,7 +67,7 @@ class OutboundFunnel {
   /// shared-envelope broadcast — each peer gets its own envelope copy, and
   /// so decodes it on its own.)
   void send_peers(const net::Envelope& env, bool withholdable,
-                  const char* label = nullptr) {
+                  std::optional<net::WireLabel> label = std::nullopt) {
     for (ReplicaId to = 0; to < transport_.size(); ++to) {
       if (to == id_) continue;
       send(to, env, withholdable, label);

@@ -148,7 +148,7 @@ core::ChainedCore::Hooks ReplicaHost::chained_hooks(
   };
   hooks.broadcast_extra_vote = [this](const Vote& vote) {
     broadcast(WireType::kVote, vote, /*include_self=*/false,
-              /*withholdable=*/false, "extra_vote");
+              /*withholdable=*/false, net::WireLabel::kExtraVote);
   };
   hooks.send_sync_request = [this](ReplicaId to,
                                    const types::SyncRequest& req) {
@@ -201,7 +201,7 @@ StreamletCore::Hooks ReplicaHost::streamlet_hooks(
   hooks.echo = [this](const streamlet::SMessage& msg) {
     if (silent_) return;
     fan_out(streamlet::to_envelope(id_, msg), /*include_self=*/false,
-            /*withholdable=*/false, "echo");
+            /*withholdable=*/false, net::WireLabel::kEcho);
   };
   hooks.send_sync_request = [this](ReplicaId to,
                                    const streamlet::SSyncRequest& req) {
@@ -245,13 +245,14 @@ void ReplicaHost::send(ReplicaId to, WireType type, const M& msg) {
 
 template <typename M>
 void ReplicaHost::broadcast(WireType type, const M& msg, bool include_self,
-                            bool withholdable, const char* label) {
+                            bool withholdable,
+                            std::optional<net::WireLabel> label) {
   if (silent_) return;
   fan_out(Envelope::pack(type, id_, msg), include_self, withholdable, label);
 }
 
 void ReplicaHost::fan_out(Envelope env, bool include_self, bool withholdable,
-                          const char* label) {
+                          std::optional<net::WireLabel> label) {
   if (!byz_) {
     transport_.broadcast(std::move(env), include_self, label);
     return;

@@ -134,9 +134,10 @@ class ReplicaHost {
   void send(ReplicaId to, net::WireType type, const M& msg);
   template <typename M>
   void broadcast(net::WireType type, const M& msg, bool include_self,
-                 bool withholdable, const char* label = nullptr);
+                 bool withholdable,
+                 std::optional<net::WireLabel> label = std::nullopt);
   void fan_out(net::Envelope env, bool include_self, bool withholdable,
-               const char* label);
+               std::optional<net::WireLabel> label);
   [[nodiscard]] bool attacks(adversary::Strategy strategy) const;
   template <typename P>
   void equivocate(net::WireType type, const P& proposal);

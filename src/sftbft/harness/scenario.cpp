@@ -366,7 +366,8 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   const net::MessageStats& stats = deployment.net_stats();
   result.total_messages = stats.total_count();
   result.total_message_bytes = stats.total_bytes();
-  result.extra_vote_messages = stats.for_type("extra_vote").count;
+  result.extra_vote_messages =
+      stats.for_type(net::WireLabel::kExtraVote).count;
   result.corrupt_injected = stats.corrupt_injected();
   result.corrupt_drops = stats.corrupt_drops();
   result.broadcast_saved_bytes = stats.broadcast_saved_bytes();

@@ -247,8 +247,9 @@ struct ScenarioResult {
   std::uint64_t corrupt_injected = 0;
   std::uint64_t corrupt_drops = 0;
   std::uint64_t broadcast_saved_bytes = 0;
-  /// Per-type traffic (exact frame bytes, keyed by stats label) — what
-  /// bench/tab_msg_complexity ships as BENCH_wire.json.
+  /// Per-label traffic (exact frame bytes, keyed by net::WireLabel name;
+  /// only labels that carried frames) — what bench/tab_msg_complexity
+  /// ships as BENCH_wire.json.
   std::map<std::string, net::MessageStats::TypeStats> traffic_by_type;
   /// Per-replica egress (send-side frame bytes, one charge per recipient;
   /// index = replica id) and the busiest sender's total — the
@@ -271,8 +272,8 @@ struct ScenarioResult {
   /// harness bug, not an experiment.
   std::uint64_t auditor_violations = 0;
   std::string flight_dump;
-  /// Per-WireType delivery-delay distributions (micros), keyed by the
-  /// stats label ("proposal", "vote", "batch_push", ...). `transit` is
+  /// Per-label delivery-delay distributions (micros), keyed by
+  /// net::WireLabel name ("proposal", "vote", "batch_push", ...). `transit` is
   /// send -> delivery; `queueing` is transit minus the topology's base
   /// latency (bandwidth + jitter + heterogeneity). Populated when the
   /// scenario enabled observability.

@@ -24,29 +24,29 @@ bool wire_type_known(std::uint8_t tag) {
   return false;
 }
 
-const char* wire_type_name(WireType type) {
+WireLabel wire_label(WireType type) {
   switch (type) {
     case WireType::kProposal:
     case WireType::kSProposal:
-      return "proposal";
+      return WireLabel::kProposal;
     case WireType::kVote:
     case WireType::kSVote:
-      return "vote";
+      return WireLabel::kVote;
     case WireType::kTimeout:
-      return "timeout";
+      return WireLabel::kTimeout;
     case WireType::kSyncRequest:
-      return "sync_req";
+      return WireLabel::kSyncReq;
     case WireType::kSyncResponse:
     case WireType::kSSyncResponse:
-      return "sync_resp";
+      return WireLabel::kSyncResp;
     case WireType::kBatchPush:
-      return "batch_push";
+      return WireLabel::kBatchPush;
     case WireType::kBatchRequest:
-      return "batch_req";
+      return WireLabel::kBatchReq;
     case WireType::kBatchResponse:
-      return "batch_resp";
+      return WireLabel::kBatchResp;
   }
-  return "unknown";
+  throw CodecError("Envelope: unknown wire type tag");
 }
 
 namespace {

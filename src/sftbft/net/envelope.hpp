@@ -27,6 +27,7 @@
 // expanded into bytes only by encode(), i.e. only into an actual frame.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -64,9 +65,28 @@ enum class WireType : std::uint8_t {
 /// True iff `tag` names a registered wire type.
 [[nodiscard]] bool wire_type_known(std::uint8_t tag);
 
-/// Stats label for a type ("proposal", "vote", ... — the legacy MessageStats
-/// keys, shared across stacks so cross-protocol sweeps stay comparable).
-[[nodiscard]] const char* wire_type_name(WireType type);
+/// The closed vocabulary a frame is counted under in MessageStats and the
+/// Observer's wire delays: every stack's tags share the kernel's labels, so
+/// cross-protocol sweeps compare; FBFT extra votes and Streamlet echoes
+/// name their own. Declared in ascending order of name, so enum order is
+/// the order std::map<std::string> renders them in.
+enum class WireLabel : std::uint8_t {
+  kBatchPush, kBatchReq, kBatchResp, kEcho, kExtraVote,
+  kProposal, kSyncReq, kSyncResp, kTimeout, kVote
+};
+inline constexpr std::size_t kWireLabelCount = 10;
+
+/// Each label's name, rendered only into artifacts and trace events.
+inline constexpr std::array<const char*, kWireLabelCount> kWireLabelNames = {
+    "batch_push", "batch_req", "batch_resp", "echo",    "extra_vote",
+    "proposal",   "sync_req",  "sync_resp",  "timeout", "vote"};
+
+[[nodiscard]] constexpr const char* wire_label_name(WireLabel label) {
+  return kWireLabelNames[static_cast<std::size_t>(label)];
+}
+
+/// The label a frame of `type` is counted under unless its sender names one.
+[[nodiscard]] WireLabel wire_label(WireType type);
 
 struct Envelope {
   WireType type{};

@@ -29,16 +29,17 @@ SimTransport::SimTransport(sim::Scheduler& sched, Topology topology,
   handlers_.resize(topology_.size());
 }
 
-void SimTransport::send(ReplicaId to, Envelope env, const char* label) {
-  const char* key = label != nullptr ? label : wire_type_name(env.type);
+void SimTransport::send(ReplicaId to, Envelope env,
+                        std::optional<WireLabel> label) {
+  const WireLabel key = label.value_or(wire_label(env.type));
   const auto shared = std::make_shared<const Envelope>(std::move(env));
   std::optional<Bytes> frame;
   route(shared->sender, to, key, shared, shared->encoded_size(), frame);
 }
 
 void SimTransport::broadcast(Envelope env, bool include_self,
-                             const char* label) {
-  const char* key = label != nullptr ? label : wire_type_name(env.type);
+                             std::optional<WireLabel> label) {
+  const WireLabel key = label.value_or(wire_label(env.type));
   // Every clean recipient shares this one immutable envelope; the frame
   // bytes are built at most once, and only if a corrupted link needs them.
   const auto shared = std::make_shared<const Envelope>(std::move(env));
@@ -57,7 +58,7 @@ void SimTransport::broadcast(Envelope env, bool include_self,
   }
 }
 
-void SimTransport::route(ReplicaId from, ReplicaId to, const char* label,
+void SimTransport::route(ReplicaId from, ReplicaId to, WireLabel label,
                          const std::shared_ptr<const Envelope>& env,
                          std::size_t size, std::optional<Bytes>& frame) {
   stats_.record(label, size);
@@ -98,15 +99,16 @@ void SimTransport::route(ReplicaId from, ReplicaId to, const char* label,
       const std::uint64_t flow = next_flow_id_++;
       const std::uint64_t send_lane = kNetLaneBase + to;
       const std::uint64_t recv_lane = kNetLaneBase + from;
+      const char* name = wire_label_name(label);
       obs_->emit_trace_only(obs::span_event(
-          "net", label, from, send_lane, sent_at, arrive_at,
+          "net", name, from, send_lane, sent_at, arrive_at,
           {"bytes", static_cast<std::uint64_t>(size)}, {"to", to}));
       obs_->emit_trace_only(
-          obs::flow_start_event("net", label, from, send_lane, sent_at, flow));
-      obs_->emit_trace_only(obs::span_event("net", label, to, recv_lane,
+          obs::flow_start_event("net", name, from, send_lane, sent_at, flow));
+      obs_->emit_trace_only(obs::span_event("net", name, to, recv_lane,
                                             arrive_at, arrive_at,
                                             {"from", from}));
-      obs_->emit_trace_only(obs::flow_finish_event("net", label, to, recv_lane,
+      obs_->emit_trace_only(obs::flow_finish_event("net", name, to, recv_lane,
                                                    arrive_at, flow));
     }
   }

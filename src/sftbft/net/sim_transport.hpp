@@ -73,9 +73,10 @@ class SimTransport final : public Transport {
     return static_cast<bool>(handlers_[id]);
   }
 
-  void send(ReplicaId to, Envelope env, const char* label = nullptr) override;
+  void send(ReplicaId to, Envelope env,
+            std::optional<WireLabel> label = std::nullopt) override;
   void broadcast(Envelope env, bool include_self,
-                 const char* label = nullptr) override;
+                 std::optional<WireLabel> label = std::nullopt) override;
 
   [[nodiscard]] std::uint32_t size() const override {
     return topology_.size();
@@ -110,7 +111,7 @@ class SimTransport final : public Transport {
   /// is its encoded_size(), taken once per send or broadcast. `frame` is
   /// the send's lazily built frame, filled by the first link that corrupts
   /// and reused by the rest.
-  void route(ReplicaId from, ReplicaId to, const char* label,
+  void route(ReplicaId from, ReplicaId to, WireLabel label,
              const std::shared_ptr<const Envelope>& env, std::size_t size,
              std::optional<Bytes>& frame);
   /// Byte-level receive for corrupted frames: decode (CRC + framing) into a

@@ -8,28 +8,31 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "sftbft/net/envelope.hpp"
+
 namespace sftbft::net {
 
 class MessageStats {
  public:
-  /// Records one message of `type` with its exact on-wire frame size.
-  void record(const std::string& type, std::size_t frame_bytes) {
-    auto& entry = per_type_[type];
+  struct TypeStats {
+    std::uint64_t count = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  /// Records one message under `label` with its exact on-wire frame size.
+  void record(WireLabel label, std::size_t frame_bytes) {
+    TypeStats& entry = per_label_[static_cast<std::size_t>(label)];
     entry.count += 1;
     entry.bytes += frame_bytes;
     total_count_ += 1;
     total_bytes_ += frame_bytes;
   }
-
-  struct TypeStats {
-    std::uint64_t count = 0;
-    std::uint64_t bytes = 0;
-  };
 
   [[nodiscard]] std::uint64_t total_count() const { return total_count_; }
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
@@ -83,28 +86,23 @@ class MessageStats {
     return broadcast_saved_bytes_;
   }
 
-  [[nodiscard]] TypeStats for_type(const std::string& type) const {
-    auto it = per_type_.find(type);
-    return it == per_type_.end() ? TypeStats{} : it->second;
+  [[nodiscard]] TypeStats for_type(WireLabel label) const {
+    return per_label_[static_cast<std::size_t>(label)];
   }
 
-  [[nodiscard]] const std::map<std::string, TypeStats>& by_type() const {
-    return per_type_;
-  }
-
-  void reset() {
-    per_type_.clear();
-    total_count_ = 0;
-    total_bytes_ = 0;
-    corrupt_injected_ = 0;
-    corrupt_drops_ = 0;
-    decode_drops_ = 0;
-    broadcast_saved_bytes_ = 0;
-    egress_bytes_.clear();
+  /// The labels that carried frames, by name (the artifacts' key order).
+  [[nodiscard]] std::map<std::string, TypeStats> by_type() const {
+    std::map<std::string, TypeStats> rendered;
+    for (std::size_t i = 0; i < kWireLabelCount; ++i) {
+      if (per_label_[i].count > 0) {
+        rendered.emplace(kWireLabelNames[i], per_label_[i]);
+      }
+    }
+    return rendered;
   }
 
  private:
-  std::map<std::string, TypeStats> per_type_;
+  std::array<TypeStats, kWireLabelCount> per_label_{};
   std::vector<std::uint64_t> egress_bytes_;
   std::uint64_t total_count_ = 0;
   std::uint64_t total_bytes_ = 0;

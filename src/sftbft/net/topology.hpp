@@ -47,10 +47,6 @@ class Topology {
     return region_of_[id];
   }
 
-  [[nodiscard]] std::uint32_t region_count() const {
-    return static_cast<std::uint32_t>(region_delay_.size());
-  }
-
   /// Base one-way delay from `from` to `to`, including both ends' straggler
   /// surcharge. Zero for self-delivery.
   [[nodiscard]] SimDuration base_delay(ReplicaId from, ReplicaId to) const;

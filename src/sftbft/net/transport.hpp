@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "sftbft/common/types.hpp"
 #include "sftbft/net/envelope.hpp"
@@ -42,9 +43,9 @@ class Transport {
   virtual void disconnect(ReplicaId id) = 0;
   [[nodiscard]] virtual bool connected(ReplicaId id) const = 0;
 
-  /// Sends to `to` from `env.sender`. `label` overrides the stats key
-  /// (nullptr = wire_type_name(env.type)); the FBFT baseline's "extra_vote"
-  /// and Streamlet's "echo" traffic keep their own ledger lines this way.
+  /// Sends to `to` from `env.sender`. `label` overrides the traffic label
+  /// (none = wire_label(env.type)); the FBFT baseline's extra votes and
+  /// Streamlet's echoes keep their own ledger lines this way.
   /// Self-sends deliver immediately (same event, no network hop).
   ///
   /// Invariant: callers stamp env.sender with their OWN id — the transport
@@ -53,14 +54,15 @@ class Transport {
   /// stats attribution (payload signatures are the authentication layer),
   /// and an adversary strategy that wants to spoof the *logical* sender
   /// must do so inside a signed payload, never via this field.
-  virtual void send(ReplicaId to, Envelope env, const char* label = nullptr) = 0;
+  virtual void send(ReplicaId to, Envelope env,
+                    std::optional<WireLabel> label = std::nullopt) = 0;
 
   /// Sends to every replica. All clean recipients share the one envelope,
   /// and a frame is built at most once per broadcast, only if some link
   /// needs its bytes (`include_self` adds an immediate self-delivery, which
   /// is how a leader counts its own vote without a round-trip).
   virtual void broadcast(Envelope env, bool include_self,
-                         const char* label = nullptr) = 0;
+                         std::optional<WireLabel> label = std::nullopt) = 0;
 
   /// Number of replicas on this transport.
   [[nodiscard]] virtual std::uint32_t size() const = 0;

@@ -15,6 +15,16 @@ Registry Observer::merged() const {
   return out;
 }
 
+std::map<std::string, WireDelayStats> Observer::wire_delays() const {
+  std::map<std::string, WireDelayStats> rendered;
+  for (std::size_t i = 0; i < net::kWireLabelCount; ++i) {
+    if (wire_[i].transit_us.count() > 0) {
+      rendered.emplace(net::kWireLabelNames[i], wire_[i]);
+    }
+  }
+  return rendered;
+}
+
 std::string Observer::trace_json(const std::string& other_data_json) const {
   return chrome_trace_json(trace_.events(), n(), other_data_json);
 }

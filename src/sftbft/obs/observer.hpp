@@ -18,6 +18,7 @@
 //     readable timeline when a run fails (auditor violation / no progress).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -25,12 +26,13 @@
 #include <vector>
 
 #include "sftbft/common/types.hpp"
+#include "sftbft/net/envelope.hpp"
 #include "sftbft/obs/metrics.hpp"
 #include "sftbft/obs/trace.hpp"
 
 namespace sftbft::obs {
 
-/// Per-WireType delay distributions, recorded by the transport for every
+/// Per-label delay distributions, recorded by the transport for every
 /// scheduled (non-self) delivery. `transit` is send -> arrival end to end;
 /// `queueing` is the share beyond pure propagation (serialization at the
 /// link's bandwidth + jitter + any pre-GST hold).
@@ -69,17 +71,15 @@ class Observer {
   /// All replicas folded into one Registry (histograms bucket-merged).
   [[nodiscard]] Registry merged() const;
 
-  // --- wire delays (fed by net::SimTransport, keyed by WireType label) ---
-  void observe_wire(const std::string& type, SimDuration transit_us,
+  // --- wire delays (fed by net::SimTransport, indexed by net::WireLabel) ---
+  void observe_wire(net::WireLabel label, SimDuration transit_us,
                     SimDuration queueing_us) {
-    WireDelayStats& stats = wire_[type];
+    WireDelayStats& stats = wire_[static_cast<std::size_t>(label)];
     stats.transit_us.record(transit_us);
     stats.queueing_us.record(queueing_us);
   }
-  [[nodiscard]] const std::map<std::string, WireDelayStats>& wire_delays()
-      const {
-    return wire_;
-  }
+  /// The labels that saw a delivery, by name (the artifacts' key order).
+  [[nodiscard]] std::map<std::string, WireDelayStats> wire_delays() const;
 
   // --- events ---
   /// True when emit() retains events (callers may skip building one).
@@ -119,7 +119,7 @@ class Observer {
  private:
   ObsConfig config_;
   std::vector<Registry> registries_;
-  std::map<std::string, WireDelayStats> wire_;
+  std::array<WireDelayStats, net::kWireLabelCount> wire_{};
   TraceBuffer trace_;
   std::unique_ptr<FlightRecorder> flight_;
 };

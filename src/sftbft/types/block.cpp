@@ -1,7 +1,5 @@
 #include "sftbft/types/block.hpp"
 
-#include <cstdio>
-
 namespace sftbft::types {
 
 crypto::Sha256Digest Block::compute_id() const {
@@ -72,15 +70,6 @@ Block Block::decode(Decoder& dec) {
   std::copy(raw.begin(), raw.end(), block.log_digest.bytes.begin());
   block.created_at = dec.i64();
   return block;
-}
-
-std::string Block::brief() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "B(r=%llu,h=%llu,id=%s)",
-                static_cast<unsigned long long>(round),
-                static_cast<unsigned long long>(height),
-                id.short_hex().c_str());
-  return buf;
 }
 
 }  // namespace sftbft::types

@@ -54,8 +54,6 @@ struct Block {
   static constexpr std::size_t kMinEncodedBytes =
       32 + 32 + 8 + 8 + 4 + QuorumCert::kMinEncodedBytes + 5 + 32 + 8;
 
-  [[nodiscard]] std::string brief() const;  ///< "B(r=5,h=3,id=1a2b3c4d)"
-
   friend bool operator==(const Block&, const Block&) = default;
 
  private:

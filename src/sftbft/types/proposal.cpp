@@ -92,12 +92,4 @@ SyncResponse SyncResponse::decode(Decoder& dec) {
   return resp;
 }
 
-const char* message_type_name(const Message& msg) {
-  if (std::holds_alternative<Proposal>(msg)) return "proposal";
-  if (std::holds_alternative<Vote>(msg)) return "vote";
-  if (std::holds_alternative<TimeoutMsg>(msg)) return "timeout";
-  if (std::holds_alternative<SyncRequest>(msg)) return "sync_req";
-  return "sync_resp";
-}
-
 }  // namespace sftbft::types

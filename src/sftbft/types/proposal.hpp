@@ -1,4 +1,4 @@
-// Proposals and the top-level message variant.
+// Proposals and the block-sync messages.
 //
 // ⟨propose, B_k, r⟩_{L_r}: the round leader multicasts its block, optionally
 // justified by a TC when the previous round timed out, plus the Sec. 5 commit
@@ -8,7 +8,6 @@
 #pragma once
 
 #include <optional>
-#include <variant>
 #include <vector>
 
 #include "sftbft/common/codec.hpp"
@@ -87,14 +86,5 @@ struct SyncResponse {
 
   friend bool operator==(const SyncResponse&, const SyncResponse&) = default;
 };
-
-/// Everything a DiemBFT replica can receive (the demux set; on the wire
-/// each alternative travels as its own net::Envelope type tag).
-using Message = std::variant<Proposal, Vote, TimeoutMsg, SyncRequest,
-                             SyncResponse>;
-
-/// Stats label for a message ("proposal" / "vote" / "timeout" / "sync_req" /
-/// "sync_resp").
-[[nodiscard]] const char* message_type_name(const Message& msg);
 
 }  // namespace sftbft::types

@@ -174,8 +174,8 @@ TEST(Conformance, HotStuffEndToEndWireTrafficAndLightClientProofs) {
   deployment.run_for(s.duration);
 
   const auto& stats = deployment.net_stats();
-  EXPECT_GT(stats.for_type("proposal").count, 0u);
-  EXPECT_GT(stats.for_type("vote").count, 0u);
+  EXPECT_GT(stats.for_type(net::WireLabel::kProposal).count, 0u);
+  EXPECT_GT(stats.for_type(net::WireLabel::kVote).count, 0u);
   EXPECT_EQ(stats.decode_drops(), 0u);
   ASSERT_GT(deployment.ledger(0).committed_blocks(), 5u);
 
@@ -321,7 +321,8 @@ TEST(Conformance, DisseminationModeConformanceOnAllThreeEngines) {
     EXPECT_EQ(deployment.net_stats().decode_drops(), 0u)
         << engine::protocol_name(protocol);
     // Data plane actually ran: batches moved between replicas.
-    EXPECT_GT(deployment.net_stats().for_type("batch_push").count, 0u)
+    EXPECT_GT(
+        deployment.net_stats().for_type(net::WireLabel::kBatchPush).count, 0u)
         << engine::protocol_name(protocol);
 
     // Honest replicas agree on the committed prefix.
@@ -370,9 +371,9 @@ TEST(Conformance, BatchWithholdingLivenessViaPull) {
     EXPECT_GT(deployment.ledger(0).committed_txns(), 0u)
         << engine::protocol_name(protocol);
     // The pull path fired: withheld digests were requested and served.
-    EXPECT_GT(stats.for_type("batch_req").count, 0u)
+    EXPECT_GT(stats.for_type(net::WireLabel::kBatchReq).count, 0u)
         << engine::protocol_name(protocol);
-    EXPECT_GT(stats.for_type("batch_resp").count, 0u)
+    EXPECT_GT(stats.for_type(net::WireLabel::kBatchResp).count, 0u)
         << engine::protocol_name(protocol);
   }
 }

@@ -562,7 +562,7 @@ TEST(BatchBroadcaster, PacksAndPushesToAllPeers) {
   EXPECT_EQ(planes[0].broadcaster->batches_packed(), 2u);
   for (const Plane& plane : planes) EXPECT_EQ(plane.store.size(), 2u);
   EXPECT_EQ(planes[1].arrivals, 2u);
-  EXPECT_EQ(transport.stats().for_type("batch_push").count, 4u);
+  EXPECT_EQ(transport.stats().for_type(net::WireLabel::kBatchPush).count, 4u);
 }
 
 TEST(BatchBroadcaster, PullRecoversWithheldBatch) {
@@ -595,8 +595,8 @@ TEST(BatchBroadcaster, PullRecoversWithheldBatch) {
   EXPECT_TRUE(planes[1].store.has(digest));
   EXPECT_GE(planes[1].arrivals, 1u);
   EXPECT_EQ(planes[1].broadcaster->missing_count(), 0u);
-  EXPECT_GT(transport.stats().for_type("batch_req").count, 0u);
-  EXPECT_GT(transport.stats().for_type("batch_resp").count, 0u);
+  EXPECT_GT(transport.stats().for_type(net::WireLabel::kBatchReq).count, 0u);
+  EXPECT_GT(transport.stats().for_type(net::WireLabel::kBatchResp).count, 0u);
 }
 
 TEST(BatchBroadcaster, TamperedBatchIsRejected) {

@@ -163,13 +163,14 @@ TEST(Engine, OutOfRangeSyncRequesterIsIgnoredOnAllProtocols) {
     deployment.run_for(millis(500));
     const std::uint64_t committed = deployment.ledger(0).committed_blocks();
     const std::uint64_t responses =
-        deployment.net_stats().for_type("sync_resp").count;
+        deployment.net_stats().for_type(net::WireLabel::kSyncResp).count;
     deployment.transport().send(
         0, net::Envelope::pack(net::WireType::kSyncRequest, 1,
                                types::SyncRequest{.requester = s.n,
                                                   .from_height = 0}));
     deployment.run_for(seconds(2));
-    EXPECT_EQ(deployment.net_stats().for_type("sync_resp").count, responses)
+    EXPECT_EQ(deployment.net_stats().for_type(net::WireLabel::kSyncResp).count,
+              responses)
         << engine::protocol_name(protocol);
     EXPECT_GT(deployment.ledger(0).committed_blocks(), committed + 5)
         << engine::protocol_name(protocol);

@@ -155,7 +155,7 @@ TEST(Integration, MessageComplexityIsLinearPerBlock) {
   // Proposal multicast (n) + votes (n) + self-deliveries; comfortably linear:
   // allow 4n as the bound, far below the n^2 = 49 regime.
   EXPECT_LT(per_block, 4.0 * 7);
-  EXPECT_EQ(stats.for_type("extra_vote").count, 0u);
+  EXPECT_EQ(stats.for_type(net::WireLabel::kExtraVote).count, 0u);
 }
 
 }  // namespace

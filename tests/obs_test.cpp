@@ -510,6 +510,20 @@ TEST(ObsConformance, WireDelayHistogramsCoverTheTraffic) {
   }
 }
 
+TEST(Observer, WireDelaysListOnlyLabelsThatSawDeliveries) {
+  Observer obs(ObsConfig{.enabled = true}, 4);
+  EXPECT_TRUE(obs.wire_delays().empty());
+  obs.observe_wire(net::WireLabel::kVote, millis(20), 0);
+  obs.observe_wire(net::WireLabel::kEcho, millis(25), millis(5));
+  obs.observe_wire(net::WireLabel::kVote, millis(30), millis(10));
+  const std::map<std::string, WireDelayStats> delays = obs.wire_delays();
+  ASSERT_EQ(delays.size(), 2u);
+  EXPECT_EQ(delays.begin()->first, "echo");
+  EXPECT_EQ(delays.at("echo").transit_us.count(), 1u);
+  EXPECT_EQ(delays.at("vote").transit_us.count(), 2u);
+  EXPECT_EQ(delays.at("vote").queueing_us.count(), 2u);
+}
+
 TEST(ObsConformance, AuditorViolationDumpsFlightRecorder) {
   // The Appendix-C strawman: naive indirect counting under the Fig. 9
   // coalition produces unsound claims; the first violation must snapshot

@@ -99,7 +99,8 @@ TEST(Streamlet, EchoTrafficIsCubic) {
   const auto& stats = cluster.net_stats();
   // Votes are multicast (n per vote, n voters) and each unseen vote echoes
   // to n-1 more replicas: echo messages dominate.
-  EXPECT_GT(stats.for_type("echo").count, stats.for_type("vote").count);
+  EXPECT_GT(stats.for_type(net::WireLabel::kEcho).count,
+            stats.for_type(net::WireLabel::kVote).count);
 }
 
 TEST(Streamlet, DeterministicReplay) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "sftbft/net/sim_transport.hpp"
 
@@ -72,7 +74,7 @@ TEST(SimTransport, ChargesExactEncodedBytes) {
   ASSERT_EQ(h.deliveries.size(), 2u);
   EXPECT_EQ(h.deliveries[0].frame_bytes, 50 + Envelope::kOverhead);
   EXPECT_EQ(h.deliveries[1].frame_bytes, frame);
-  EXPECT_EQ(net.stats().for_type("vote").bytes,
+  EXPECT_EQ(net.stats().for_type(WireLabel::kVote).bytes,
             frame + 50 + Envelope::kOverhead);
 }
 
@@ -185,18 +187,70 @@ TEST(SimTransport, StatsCountEverything) {
   net.broadcast(prop, /*include_self=*/true);
   net.send(0, make_envelope(1, {1}));
   EXPECT_EQ(net.stats().total_count(), 4u);
-  EXPECT_EQ(net.stats().for_type("proposal").count, 3u);
-  EXPECT_EQ(net.stats().for_type("proposal").bytes, 3u * frame);
-  EXPECT_EQ(net.stats().for_type("vote").count, 1u);
-  EXPECT_EQ(net.stats().for_type("nothing").count, 0u);
+  EXPECT_EQ(net.stats().for_type(WireLabel::kProposal).count, 3u);
+  EXPECT_EQ(net.stats().for_type(WireLabel::kProposal).bytes, 3u * frame);
+  EXPECT_EQ(net.stats().for_type(WireLabel::kVote).count, 1u);
+  // A label that was never sent reads zero and is not rendered.
+  EXPECT_EQ(net.stats().for_type(WireLabel::kTimeout).count, 0u);
+  EXPECT_EQ(net.stats().for_type(WireLabel::kTimeout).bytes, 0u);
+  std::vector<std::string> rendered;
+  for (const auto& [name, stats] : net.stats().by_type()) {
+    rendered.push_back(name);
+  }
+  EXPECT_EQ(rendered, (std::vector<std::string>{"proposal", "vote"}));
 }
 
 TEST(SimTransport, LabelOverridesStatsKey) {
   Harness h;
   auto net = h.make(Topology::uniform(3, millis(10)), {});
-  net.broadcast(make_envelope(0, {1}), /*include_self=*/false, "extra_vote");
-  EXPECT_EQ(net.stats().for_type("extra_vote").count, 2u);
-  EXPECT_EQ(net.stats().for_type("vote").count, 0u);
+  net.broadcast(make_envelope(0, {1}), /*include_self=*/false,
+                WireLabel::kExtraVote);
+  net.send(1, make_envelope(0, {1}), WireLabel::kEcho);
+  EXPECT_EQ(net.stats().for_type(WireLabel::kExtraVote).count, 2u);
+  EXPECT_EQ(net.stats().for_type(WireLabel::kEcho).count, 1u);
+  EXPECT_EQ(net.stats().for_type(WireLabel::kVote).count, 0u);
+  EXPECT_EQ(net.stats().by_type().size(), 2u);
+}
+
+TEST(WireLabels, EveryWireTypeKeepsItsLedgerName) {
+  // The names the artifacts (BENCH_wire.json, traces) are keyed by: each
+  // protocol's tag shares the kernel's name.
+  const std::map<WireType, std::string> expected = {
+      {WireType::kProposal, "proposal"},
+      {WireType::kVote, "vote"},
+      {WireType::kTimeout, "timeout"},
+      {WireType::kSyncRequest, "sync_req"},
+      {WireType::kSyncResponse, "sync_resp"},
+      {WireType::kSProposal, "proposal"},
+      {WireType::kSVote, "vote"},
+      {WireType::kSSyncResponse, "sync_resp"},
+      {WireType::kBatchPush, "batch_push"},
+      {WireType::kBatchRequest, "batch_req"},
+      {WireType::kBatchResponse, "batch_resp"},
+  };
+  for (int tag = 0; tag < 256; ++tag) {
+    const auto type = static_cast<WireType>(tag);
+    ASSERT_EQ(wire_type_known(static_cast<std::uint8_t>(tag)),
+              expected.contains(type))
+        << tag;
+  }
+  for (const auto& [type, name] : expected) {
+    EXPECT_EQ(wire_label_name(wire_label(type)), name)
+        << static_cast<int>(type);
+  }
+  // The two labels no wire type maps to: senders name them explicitly.
+  EXPECT_STREQ(wire_label_name(WireLabel::kEcho), "echo");
+  EXPECT_STREQ(wire_label_name(WireLabel::kExtraVote), "extra_vote");
+}
+
+TEST(WireLabels, NamesAreUniqueAndAscending) {
+  // Strictly ascending names rule out duplicates and make enum order the
+  // std::map order the rendered ledgers (BENCH_wire rows) keep.
+  for (std::size_t i = 1; i < kWireLabelCount; ++i) {
+    EXPECT_LT(std::string(kWireLabelNames[i - 1]),
+              std::string(kWireLabelNames[i]))
+        << i;
+  }
 }
 
 TEST(SimTransport, StragglerDelaysApply) {
@@ -227,7 +281,7 @@ TEST(SimTransport, CorruptionDropsFramesPreGst) {
   EXPECT_EQ(net.stats().corrupt_drops(), 20u);
   EXPECT_TRUE(h.deliveries.empty());
   // Send-side stats still charged the wire (the bytes did travel).
-  EXPECT_EQ(net.stats().for_type("vote").count, 20u);
+  EXPECT_EQ(net.stats().for_type(WireLabel::kVote).count, 20u);
 }
 
 TEST(SimTransport, CorruptionStopsAtGst) {
@@ -299,8 +353,8 @@ TEST(SimTransport, PartiallyCorruptedBroadcastMatchesCleanRun) {
     EXPECT_EQ(got.frame_bytes, frame);
   }
   for (const Run* r : {&clean, &corrupted}) {
-    EXPECT_EQ(r->stats.for_type("proposal").count, 4u);
-    EXPECT_EQ(r->stats.for_type("proposal").bytes, 4 * frame);
+    EXPECT_EQ(r->stats.for_type(WireLabel::kProposal).count, 4u);
+    EXPECT_EQ(r->stats.for_type(WireLabel::kProposal).bytes, 4 * frame);
     EXPECT_EQ(r->stats.egress_by_replica().at(0), 4 * frame);
     EXPECT_EQ(r->stats.broadcast_saved_bytes(), 3 * frame);
   }

@@ -402,15 +402,6 @@ TEST(Proposal, SignatureCoversCommitLog) {
   EXPECT_NE(proposal.signing_bytes(), before);
 }
 
-TEST(MessageHelpers, TypeNames) {
-  const Message prop = Proposal{.block = make_block(Block::genesis(), 1)};
-  const Message vote = make_signed_vote(0, Block::genesis().id, 1, VoteMode::Plain);
-  const Message timeout = TimeoutMsg{};
-  EXPECT_STREQ(message_type_name(prop), "proposal");
-  EXPECT_STREQ(message_type_name(vote), "vote");
-  EXPECT_STREQ(message_type_name(timeout), "timeout");
-}
-
 // Randomized round-trip sweep: arbitrary vote/QC contents survive encoding.
 class RandomizedRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
